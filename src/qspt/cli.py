@@ -19,6 +19,8 @@ from .partitions import StatTables
 from .series import LaurentSeries
 
 _DEFAULT_WINDOWS = {5: 4800, 7: 2400, 11: 1200}
+_DEFAULT_MAX_N = {"thm1_2": 20, "thm1_3": 40, "eq17": 30, "cor1_4": 200, "cor1_5": 20,
+                  "congruences": 200}
 
 _tables_cache: StatTables | None = None
 
@@ -70,8 +72,8 @@ def build_series(name: str, precision: int) -> LaurentSeries:
     cached = _cache_lookup(name, precision)
     if cached is not None:
         return cached
-    if name in forms.FormRegistry.names:
-        series = _registry.get(name, precision)
+    if name in forms._CONSTRUCTORS:
+        series = forms._CONSTRUCTORS[name](precision)
     elif name == "mplus":
         series = hecke.m_plus(precision, _tables(precision // 24 + 1))
     elif name == "spt_gen24":
@@ -87,9 +89,6 @@ def build_series(name: str, precision: int) -> LaurentSeries:
         raise UnknownSeries(f"unknown series name {name!r}")
     _cache_store(name, series)
     return series
-
-
-_registry = forms.FormRegistry()
 
 
 def cmd_series(args) -> int:
@@ -134,35 +133,28 @@ def cmd_table(args) -> int:
 
 def run_check(check: str, *, ell: int = 5, m: int = 1, max_n: int | None = None,
               window: int | None = None, sign: str = "plus"):
-    """Dispatch one verification and return its report."""
-    if check == "thm1_1":
+    """Dispatch one verification and return its report.
+
+    Each check sizes the shared tables from the largest index it reads."""
+    if check in ("thm1_1", "eq9_mod_ell"):
+        ctx = HeckeContext(ell)
         window = window or _DEFAULT_WINDOWS.get(ell, 1200)
-        t = _tables(window * ell ** 2 // 24 + 1)
-        return hecke.verify_thm11(HeckeContext(ell), window, t)
-    if check == "thm1_2":
-        max_n = max_n or 20
-        return verify.verify_thm1_2(_tables(25 * max_n - 1), max_n)
-    if check == "thm1_3":
-        return verify.verify_thm1_3(max_n or 40)
-    if check == "eq17":
-        return verify.verify_eq17(max_n or 30)
-    if check == "cor1_4":
-        return partitions.check_congruences("cor1_4", _tables(max(210, (max_n or 200) * 25 // 24 + 2)),
-                                            max_n=max_n or 200, ell=ell, m=m, sign=sign)
-    if check == "cor1_5":
-        max_n = max_n or 20
-        return verify.verify_cor1_5(_tables(25 * max_n - 1), max_n)
-    if check == "eq9_mod_ell":
-        window = window or _DEFAULT_WINDOWS.get(ell, 1200)
-        t = _tables(window * ell ** 2 // 24 + 1)
-        return hecke.verify_mod_ell(HeckeContext(ell), window, t)
-    if check == "congruences":
-        max_n = max_n or 200
-        return partitions.check_congruences("all", _tables(13 * max_n + 6),
-                                            max_n=max_n, ell=ell, m=m, sign=sign)
+        verifier = hecke.verify_thm11 if check == "thm1_1" else hecke.verify_mod_ell
+        return verifier(ctx, window, _tables(window * ell ** 2 // 24 + 1))
     if check == "internal_identities":
         return verify.verify_internal_identities()
-    raise UnknownCheck(f"unknown check {check!r}")
+    if check not in _DEFAULT_MAX_N:
+        raise UnknownCheck(f"unknown check {check!r}")
+    max_n = max_n or _DEFAULT_MAX_N[check]
+    if check in ("thm1_2", "cor1_5"):
+        verifier = verify.verify_thm1_2 if check == "thm1_2" else verify.verify_cor1_5
+        return verifier(_tables(25 * max_n - 1), max_n)
+    if check in ("thm1_3", "eq17"):
+        verifier = verify.verify_thm1_3 if check == "thm1_3" else verify.verify_eq17
+        return verifier(_tables(max_n), max_n)
+    family = "all" if check == "congruences" else check
+    t = _tables(partitions.congruence_rows(family, max_n, ell, m))
+    return partitions.check_congruences(family, t, max_n=max_n, ell=ell, m=m, sign=sign)
 
 
 def cmd_verify(args) -> int:

@@ -35,27 +35,24 @@ def partition_gen24(P: int) -> LaurentSeries:
     return LaurentSeries(24, 23, -1, P, p)
 
 
-def _sigma_table(N: int, power: int) -> list[int]:
-    sig = [0] * (N + 1)
-    for d in range(1, N + 1):
-        dp = d ** power
-        for idx in range(d, N + 1, d):
-            sig[idx] += dp
-    return sig
+def _eisenstein(P: int, power: int, factor: int) -> LaurentSeries:
+    """1 + factor * sum sigma_power(n) q^n, truncated below P."""
+    cs = [1] + [0] * max(P - 1, 0)
+    for d in range(1, P):
+        dp = factor * d ** power
+        for idx in range(d, P, d):
+            cs[idx] += dp
+    return LaurentSeries(1, 0, 0, P, cs[:P])
 
 
 def eisenstein_e4(P: int) -> LaurentSeries:
     """E4 = 1 + 240 sum sigma_3(n) q^n."""
-    sig = _sigma_table(max(P - 1, 0), 3)
-    cs = [1] + [240 * s for s in sig[1:]]
-    return LaurentSeries(1, 0, 0, P, cs[:P])
+    return _eisenstein(P, 3, 240)
 
 
 def eisenstein_e6(P: int) -> LaurentSeries:
     """E6 = 1 - 504 sum sigma_5(n) q^n."""
-    sig = _sigma_table(max(P - 1, 0), 5)
-    cs = [1] + [-504 * s for s in sig[1:]]
-    return LaurentSeries(1, 0, 0, P, cs[:P])
+    return _eisenstein(P, 5, -504)
 
 
 def delta_series(P: int) -> LaurentSeries:
@@ -96,21 +93,3 @@ _CONSTRUCTORS = {
     "partition_gen24": partition_gen24,
 }
 
-
-class FormRegistry:
-    """Named series constructors with a monotone precision cache."""
-
-    names = tuple(_CONSTRUCTORS)
-
-    def __init__(self):
-        self._cache: dict[str, LaurentSeries] = {}
-
-    def get(self, name: str, P: int) -> LaurentSeries:
-        if name not in _CONSTRUCTORS:
-            raise KeyError(name)
-        cached = self._cache.get(name)
-        if cached is not None and cached.precision >= P:
-            return cached.truncate(P)
-        built = _CONSTRUCTORS[name](P)
-        self._cache[name] = built
-        return built

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from . import forms, jbasis
 from .arith import chi12, is_prime, legendre
-from .errors import BadModulus, BadSupport, TableTooSmall
+from .errors import BadModulus, BadSupport
 from .partitions import StatTables
 from .report import VerificationReport
 from .series import LaurentSeries
@@ -37,8 +37,7 @@ class HeckeContext:
 def spt_gen24(P: int, tables: StatTables) -> LaurentSeries:
     """S(q) = sum spt(n) q^(24n-1), stride 24, offset 23."""
     nmax = P // 24
-    if nmax > tables.limit:
-        raise TableTooSmall(f"need spt to n = {nmax}, tables reach {tables.limit}")
+    tables.require(nmax)
     return LaurentSeries(24, 23, 23, P, tables.spt[1:nmax + 1])
 
 
@@ -46,8 +45,7 @@ def m_plus(P: int, tables: StatTables) -> LaurentSeries:
     """Holomorphic part of the weight-3/2 mock modular form:
     S(q) + (1/12) q d/dq P(q) = -1/12 q^-1 + sum [spt(n) + (24n-1)/12 p(n)] q^(24n-1)."""
     nmax = P // 24
-    if nmax > tables.limit:
-        raise TableTooSmall(f"need spt/p to n = {nmax}, tables reach {tables.limit}")
+    tables.require(nmax)
     cs = [Fraction(-1, 12)]
     for n in range(1, nmax + 1):
         cs.append(tables.spt[n] + Fraction(24 * n - 1, 12) * tables.p[n])
@@ -92,14 +90,10 @@ def m_ell(ctx: HeckeContext, P: int, tables: StatTables) -> LaurentSeries:
 
 
 def m_ell_closed_form(ctx: HeckeContext, P: int, tables: StatTables) -> LaurentSeries:
-    """The closed form -(ell/12) P(q) B_{delta_ell}(j(24 tau)) (E4^2 E6/Delta)(24 tau)."""
-    nmax = -(-P // 24) + 2
+    """The closed form -(ell/12) P(q) B_{delta_ell}(j(24 tau)) (E4^2 E6/Delta)(24 tau),
+    built as (ell/12) P(q) r_ell(q)."""
     pgen = forms.partition_gen24(P + 24 * ctx.delta_ell + 48)
-    jp24 = forms.jprime_neg_series(nmax + ctx.delta_ell + 2).stride_expand(24)
-    b = jbasis.b_polynomials(ctx.delta_ell)[-1]
-    beval = jbasis.eval_at_j24(b, 24 * (nmax + 2))
-    prod = pgen * beval * jp24
-    return prod.scale(Fraction(-ctx.ell, 12)).truncate(P)
+    return (pgen * r_ell_series(ctx, P + 24)).scale(Fraction(ctx.ell, 12)).truncate(P)
 
 
 def thm11_rhs(ctx: HeckeContext, P: int, tables: StatTables) -> LaurentSeries:
@@ -127,7 +121,7 @@ def verify_thm11(ctx: HeckeContext, window: int, tables: StatTables) -> Verifica
     rep = VerificationReport(check="thm1_1",
                              parameters={"ell": ctx.ell, "window": window},
                              window=(lo, window))
-    _compare_series(rep, lhs, rhs, lo, window)
+    rep.compare(lhs, rhs, lo, window)
     rep.runtime_ms = int((time.monotonic() - t0) * 1000)
     return rep
 
@@ -141,17 +135,8 @@ def verify_mod_ell(ctx: HeckeContext, window: int, tables: StatTables) -> Verifi
                              parameters={"ell": ctx.ell, "window": window},
                              window=(-ctx.ell ** 2, window))
     for e, c in series.terms():
-        if c.denominator != 1:
-            rep.record(e, c, "integer")
-        else:
-            rep.record(e, c.numerator % ctx.ell, 0)
+        # a non-integral c leaves a non-integral, hence nonzero, residue
+        rep.record(e, c % ctx.ell, 0)
     rep.runtime_ms = int((time.monotonic() - t0) * 1000)
     return rep
 
-
-def _compare_series(rep: VerificationReport, lhs: LaurentSeries,
-                    rhs: LaurentSeries, lo: int, hi: int) -> None:
-    a = {e: c for e, c in lhs.terms() if lo <= e < hi}
-    b = {e: c for e, c in rhs.terms() if lo <= e < hi}
-    for e in sorted(set(a) | set(b)):
-        rep.record(e, a.get(e, Fraction(0)), b.get(e, Fraction(0)))

@@ -66,37 +66,31 @@ class IntPolynomial:
 
 
 def b_polynomials(M: int) -> list[IntPolynomial]:
-    """B_1..B_M with (j(tau) - x) * sum B_m(x) q^m = (q;q)_inf.
-
-    Coefficient-matching gives the recurrence
-    B_{m+1} = e_m + x*B_m - sum_{k=1..m} c(m-k) B_k,
-    with e_m the q^m coefficient of (q;q)_inf and c(i) the j coefficients."""
-    if M < 1:
-        return []
-    e = forms.euler_series(M + 1)
-    c = forms.j_series(max(M - 1, 1))
-    bs = [IntPolynomial([1])]
-    for m in range(1, M):
-        nxt = bs[-1].shift_up() + IntPolynomial([int(e.coeff(m))])
-        for k in range(1, m + 1):
-            nxt = nxt - bs[k - 1].scale(int(c.coeff(m - k)))
-        bs.append(nxt)
-    return bs
+    """B_1..B_M with (j(tau) - x) * sum B_m(x) q^m = (q;q)_inf."""
+    return _j_recurrence(forms.euler_series(max(M, 1)), 1, M)
 
 
 def faber_polynomials(M: int) -> list[IntPolynomial]:
     """J_0..J_M with (j(tau) - x) * sum J_n(x) q^n = E4^2 E6 / Delta."""
-    if M < 0:
+    return _j_recurrence(forms.jprime_neg_series(max(M, 1)), 0, M + 1)
+
+
+def _j_recurrence(seed: LaurentSeries, start: int, count: int) -> list[IntPolynomial]:
+    """P_0..P_{count-1} with (j(tau) - x) * sum P_n(x) q^(n+start) = seed.
+
+    Coefficient-matching gives P_0 = 1 and
+    P_{n+1} = x*P_n + s(n+start) - sum_{i=0..n} c(n-i) P_i,
+    with s the coefficients of seed and c(i) those of j."""
+    if count < 1:
         return []
-    d = forms.jprime_neg_series(max(M, 1))
-    c = forms.j_series(max(M, 1))
-    js = [IntPolynomial([1])]
-    for m in range(0, M):
-        nxt = js[-1].shift_up() + IntPolynomial([int(d.coeff(m))])
-        for k in range(0, m + 1):
-            nxt = nxt - js[k].scale(int(c.coeff(m - k)))
-        js.append(nxt)
-    return js
+    c = forms.j_series(max(count - 1, 1))
+    ps = [IntPolynomial([1])]
+    for n in range(count - 1):
+        nxt = ps[-1].shift_up() + IntPolynomial([int(seed.coeff(n + start))])
+        for i in range(n + 1):
+            nxt = nxt - ps[i].scale(int(c.coeff(n - i)))
+        ps.append(nxt)
+    return ps
 
 
 def eval_at_j24(poly: IntPolynomial, P: int) -> LaurentSeries:

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 from .arith import legendre
 from .errors import EnumerationLimit, TableTooSmall, UnknownCheck
 from .report import VerificationReport
-from .series import _conv_int
+from .series import convolve
 
 _SPT_ENUM_GUARD = 60
 _UNIMODAL_ENUM_GUARD = 40
@@ -88,7 +88,7 @@ def a_table(N: int) -> list[int]:
         for idx in range(n * (n + 1) // 2, N + 1, n):
             inner[idx] += w
         n += 1
-    return _conv_int(pd, inner, N + 1)
+    return convolve(pd, inner, N + 1)
 
 
 # ----------------------------------------------------------------------
@@ -224,12 +224,6 @@ class StatTables:
             raise TableTooSmall(f"tables built to {self.limit}, need {n}")
 
 
-def ustar(n: int, tables: StatTables) -> int:
-    """u*(n) = -spt(n) + 2a(n)."""
-    tables.require(n)
-    return tables.ustar[n]
-
-
 # ----------------------------------------------------------------------
 # ingredients of the combinatorial c(n) formulas
 
@@ -263,52 +257,31 @@ def mu(n: int) -> int:
     return 6 - legendre(1 - 24 * n, 5)
 
 
-def h1(m: int, tables: StatTables) -> Fraction:
+def h1(m: int, tables: StatTables, spt: Sequence[int] | None = None) -> Fraction:
     """Weight attached to exponent m = 24n-1 in the T(25) expansion of M+.
 
     The coefficient on p(n) in the mu_n term is (24n-1)/5, which is what the
-    c(1) and c(2) decompositions force."""
+    c(1) and c(2) decompositions force. spt defaults to tables.spt; pass
+    2a - u* for the Corollary 1.5 form."""
     if m <= 0 or m % 24 != 23:
         return Fraction(0)
+    spt = tables.spt if spt is None else spt
     n = (m + 1) // 24
     tables.require(25 * n - 1)
-    return (Fraction(12, 5) * tables.spt[25 * n - 1]
+    return (Fraction(12, 5) * spt[25 * n - 1]
             + 5 * (24 * n - 1) * tables.p[25 * n - 1]
-            + mu(n) * (Fraction(12, 5) * tables.spt[n]
+            + mu(n) * (Fraction(12, 5) * spt[n]
                        + Fraction(24 * n - 1, 5) * tables.p[n]))
 
 
-def h2(m: int, tables: StatTables) -> Fraction:
+def h2(m: int, tables: StatTables, spt: Sequence[int] | None = None) -> Fraction:
     """Weight attached to exponent m = 25(24n-1); zero off that support."""
     if m <= 0 or m % 24 != 23 or m % 25 != 0:
         return Fraction(0)
+    spt = tables.spt if spt is None else spt
     n = (m // 25 + 1) // 24
     tables.require(25 * n - 1)
-    return Fraction(12 * tables.spt[n] + (24 * n - 1) * tables.p[n])
-
-
-def g1(m: int, tables: StatTables) -> Fraction:
-    """h1 rewritten through spt = -u* + 2a; computed from the u* and a tables."""
-    if m <= 0 or m % 24 != 23:
-        return Fraction(0)
-    n = (m + 1) // 24
-    tables.require(25 * n - 1)
-    return (-Fraction(12, 5) * tables.ustar[25 * n - 1]
-            + Fraction(24, 5) * tables.a[25 * n - 1]
-            + 5 * (24 * n - 1) * tables.p[25 * n - 1]
-            + mu(n) * (-Fraction(12, 5) * tables.ustar[n]
-                       + Fraction(24, 5) * tables.a[n]
-                       + Fraction(24 * n - 1, 5) * tables.p[n]))
-
-
-def g2(m: int, tables: StatTables) -> Fraction:
-    """h2 rewritten through spt = -u* + 2a."""
-    if m <= 0 or m % 24 != 23 or m % 25 != 0:
-        return Fraction(0)
-    n = (m // 25 + 1) // 24
-    tables.require(25 * n - 1)
-    return Fraction(-12 * tables.ustar[n] + 24 * tables.a[n]
-                    + (24 * n - 1) * tables.p[n])
+    return Fraction(12 * spt[n] + (24 * n - 1) * tables.p[n])
 
 
 def _pentagonal_k_range(n: int) -> list[int]:
@@ -325,55 +298,43 @@ def _pentagonal_k_range(n: int) -> list[int]:
     return ks
 
 
-def c_formula(n: int, tables: StatTables) -> Fraction:
+def c_formula(n: int, tables: StatTables, spt: Sequence[int] | None = None) -> Fraction:
     """c(n) from partition statistics: (s(n) + sum_k (-1)^k [h1+h2](24n-(6k+1)^2))/n."""
     total = Fraction(s_fn(n))
     for k in _pentagonal_k_range(n):
         arg = 24 * n - (6 * k + 1) ** 2
         sign = -1 if k % 2 else 1
-        total += sign * (h1(arg, tables) + h2(arg, tables))
+        total += sign * (h1(arg, tables, spt) + h2(arg, tables, spt))
     return total / n
 
 
-def c_formula_g(n: int, tables: StatTables) -> Fraction:
-    """Same as c_formula, with the h-weights replaced by the u*/a forms."""
-    total = Fraction(s_fn(n))
-    for k in _pentagonal_k_range(n):
-        arg = 24 * n - (6 * k + 1) ** 2
-        sign = -1 if k % 2 else 1
-        total += sign * (g1(arg, tables) + g2(arg, tables))
-    return total / n
+def spt_from_ustar(tables: StatTables) -> list[int]:
+    """The spt column rebuilt as 2a - u*."""
+    return [2 * a - u for a, u in zip(tables.a, tables.ustar)]
 
 
 def c1_c2_decompositions(tables: StatTables) -> list[str]:
-    """Itemized reconstruction of the displayed c(1) and c(2) splittings."""
-    p, spt = tables.p, tables.spt
-    a, us = tables.a, tables.ustar
-    lines = []
+    """Itemized reconstruction of the displayed c(1) and c(2) splittings,
+    first through spt, then through 2a - u* with its spt terms parenthesized."""
+    return (_c1_c2_lines(tables.p, tables.spt, "{}")
+            + _c1_c2_lines(tables.p, spt_from_ustar(tables), "({})"))
+
+
+def _c1_c2_lines(p: Sequence[int], spt: Sequence[int], fmt: str) -> list[str]:
     # c(1) = s(1) + mu_1*(12/5 spt(1) + 23/5 p(1)) + 12/5 spt(24) + 115 p(24)
     t_mu = mu(1) * (Fraction(12, 5) * spt[1] + Fraction(23, 5) * p[1])
     t_spt = Fraction(12, 5) * spt[24]
     t_p = Fraction(5 * 23 * p[24])
-    lines.append(f"c(1) = {s_fn(1)} + {t_mu} + {t_spt} + {t_p}"
-                 f" = {s_fn(1) + t_mu + t_spt + t_p}")
     # c(2) = (s(2) - h1(23) + h1(47))/2, itemized
     t_mu2 = mu(2) * (Fraction(12, 5) * spt[2] + Fraction(47, 5) * p[2])
     t_spt2 = Fraction(12, 5) * spt[49]
     t_p2 = Fraction(5 * 47 * p[49])
-    lines.append(f"c(2) = (1/2)({s_fn(2)} - {t_mu} + {t_mu2} - {t_spt} - {t_p}"
-                 f" + {t_spt2} + {t_p2})"
-                 f" = {(s_fn(2) - t_mu + t_mu2 - t_spt - t_p + t_spt2 + t_p2) / 2}")
-    # the same two identities through u* and a
-    u_mu = mu(1) * (-Fraction(12, 5) * us[1] + Fraction(24, 5) * a[1] + Fraction(23, 5) * p[1])
-    u_tail = -Fraction(12, 5) * us[24] + Fraction(24, 5) * a[24]
-    lines.append(f"c(1) = {s_fn(1)} + {u_mu} + ({u_tail}) + {t_p}"
-                 f" = {s_fn(1) + u_mu + u_tail + t_p}")
-    u_mu2 = mu(2) * (-Fraction(12, 5) * us[2] + Fraction(24, 5) * a[2] + Fraction(47, 5) * p[2])
-    u_tail2 = -Fraction(12, 5) * us[49] + Fraction(24, 5) * a[49]
-    lines.append(f"c(2) = (1/2)({s_fn(2)} - {u_mu} + {u_mu2} - ({u_tail}) - {t_p}"
-                 f" + ({u_tail2}) + {t_p2})"
-                 f" = {(s_fn(2) - u_mu + u_mu2 - u_tail - t_p + u_tail2 + t_p2) / 2}")
-    return lines
+    f_spt, f_spt2 = fmt.format(t_spt), fmt.format(t_spt2)
+    return [f"c(1) = {s_fn(1)} + {t_mu} + {f_spt} + {t_p}"
+            f" = {s_fn(1) + t_mu + t_spt + t_p}",
+            f"c(2) = (1/2)({s_fn(2)} - {t_mu} + {t_mu2} - {f_spt} - {t_p}"
+            f" + {f_spt2} + {t_p2})"
+            f" = {(s_fn(2) - t_mu + t_mu2 - t_spt - t_p + t_spt2 + t_p2) / 2}"]
 
 
 # ----------------------------------------------------------------------
@@ -390,6 +351,18 @@ def spt_family_instances(ell: int, m: int, max_n: int, sign: str) -> list[tuple[
         if num % 24 == 0:
             out.append((n, num // 24))
     return out
+
+
+def congruence_rows(family: str, max_n: int, ell: int = 5, m: int = 1) -> int:
+    """Largest table index check_congruences reads for a family, under
+    either sign convention."""
+    if family == "andrews":
+        return 13 * max_n + 6
+    if family == "all":
+        return max(congruence_rows(f, max_n, ell, m) for f in ("andrews", "eq5", "cor1_4"))
+    mm = 1 if family == "eq5" else m
+    return max((idx for sign in ("plus", "minus")
+                for _, idx in spt_family_instances(ell, mm, max_n, sign)), default=0)
 
 
 def check_congruences(family: str, tables: StatTables, max_n: int = 200,
@@ -421,8 +394,8 @@ def check_congruences(family: str, tables: StatTables, max_n: int = 200,
         other = spt_family_instances(ell, mm, max_n, "minus" if sign == "plus" else "plus")
         rep.details.append(f"convention '{sign}': {len(inst)} integral indices, "
                            f"{len(rep.mismatches)} failures")
-        bad = sum(1 for _, idx in other
-                  if idx <= tables.limit and tables.spt[idx] % modulus)
+        tables.require(max((idx for _, idx in other), default=0))
+        bad = sum(1 for _, idx in other if tables.spt[idx] % modulus)
         rep.details.append(f"other convention: {len(other)} integral indices, "
                            f"{bad} failures")
     elif family == "cor1_4":

@@ -5,6 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .errors import OutOfPrecision
+
+_ZERO = Fraction(0)
+
 
 @dataclass
 class Mismatch:
@@ -39,6 +43,28 @@ class VerificationReport:
         """Compare one pair of values; keep a mismatch entry if they differ."""
         if lhs != rhs:
             self.mismatches.append(Mismatch(exponent, Fraction(lhs), Fraction(rhs)))
+
+    def compare(self, lhs, rhs, lo: int | None = None, hi: int | None = None,
+                tag: str | None = None) -> bool:
+        """Record both series coefficientwise over [lo, hi); True if they agree.
+
+        lo defaults to the lowest exponent present and hi to the jointly
+        known window; an hi past that window raises OutOfPrecision. With a
+        tag, a "<tag>: ok|MISMATCH" detail line is appended."""
+        known = min(lhs.precision, rhs.precision)
+        if hi is None:
+            hi = known
+        elif hi > known:
+            raise OutOfPrecision(f"comparison below {hi} requested, known below {known}")
+        a = {e: c for e, c in lhs.terms() if (lo is None or e >= lo) and e < hi}
+        b = {e: c for e, c in rhs.terms() if (lo is None or e >= lo) and e < hi}
+        before = len(self.mismatches)
+        for e in sorted(set(a) | set(b)):
+            self.record(e, a.get(e, _ZERO), b.get(e, _ZERO))
+        ok = len(self.mismatches) == before
+        if tag is not None:
+            self.details.append(f"{tag}: {'ok' if ok else 'MISMATCH'}")
+        return ok
 
     def to_dict(self) -> dict:
         doc = {

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .errors import LeadingZero, OutOfPrecision
+from .report import VerificationReport
 
 Rational = Fraction
 
@@ -31,7 +32,7 @@ def _pp_count(val: int, prec: int, stride: int) -> int:
     return -((val - prec) // stride)
 
 
-def _conv_int(a: list[int], b: list[int], n_out: int) -> list[int]:
+def convolve(a: list[int], b: list[int], n_out: int) -> list[int]:
     """First n_out coefficients of the integer convolution a*b."""
     an = [(i, c) for i, c in enumerate(a) if c and i < n_out]
     bn = [(j, c) for j, c in enumerate(b) if c and j < n_out]
@@ -92,7 +93,7 @@ def _conv_frac(a: list[Fraction], b: list[Fraction], n_out: int) -> list[Fractio
     db = math.lcm(*(x.denominator for x in b)) if b else 1
     ai = [x.numerator * (da // x.denominator) for x in a]
     bi = [x.numerator * (db // x.denominator) for x in b]
-    ci = _conv_int(ai, bi, n_out)
+    ci = convolve(ai, bi, n_out)
     d = da * db
     if d == 1:
         return [Fraction(c) for c in ci]
@@ -204,15 +205,8 @@ class LaurentSeries:
 
     def agrees_with(self, other: "LaurentSeries", lo: int | None = None,
                     hi: int | None = None) -> bool:
-        """Coefficientwise equality over [lo, hi) within the jointly known window."""
-        if hi is None:
-            hi = min(self.precision, other.precision)
-        hi = min(hi, self.precision, other.precision)
-        if lo is None:
-            lo = min(self.valuation, other.valuation)
-        a = {e: c for e, c in self.terms() if lo <= e < hi}
-        b = {e: c for e, c in other.terms() if lo <= e < hi}
-        return a == b
+        """Coefficientwise equality over [lo, hi); see VerificationReport.compare."""
+        return VerificationReport(check="agrees_with").compare(self, other, lo, hi)
 
     def __repr__(self) -> str:
         parts = [f"{c}*q^{e}" for e, c in list(self.terms())[:6]]

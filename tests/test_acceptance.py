@@ -99,9 +99,9 @@ def test_criterion_05_b_polynomials(_line):
     assert ok
 
 
-def test_criterion_06_signed_weight_sum(_line):
+def test_criterion_06_signed_weight_sum(T, _line):
     t0 = time.monotonic()
-    rep = verify.verify_thm1_3(max_n=40)
+    rep = verify.verify_thm1_3(T, max_n=40)
     dt = time.monotonic() - t0
     ok = rep.passed and dt < 30
     _line(6, ok, f"signed triangular weights match the a(n) series, "
@@ -110,7 +110,7 @@ def test_criterion_06_signed_weight_sum(_line):
 
 
 def test_criterion_07_unimodal_rank_count(T, _line):
-    rep = verify.verify_eq17(max_n=30, tables=T)
+    rep = verify.verify_eq17(T, max_n=30)
     ok = rep.passed and list(T.ustar[1:7]) == [1, 1, -1, 0, -2, 2]
     _line(7, ok, "u*(n) enumeration equals -spt + 2a for n <= 30")
     assert ok, rep.mismatches[:3]

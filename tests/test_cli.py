@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: output formats, caching, exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -10,7 +11,9 @@ from qspt.series import LaurentSeries
 
 @pytest.fixture(autouse=True)
 def isolated_cache(tmp_path, monkeypatch):
+    # every qspt invocation is a fresh process: no file cache, no tables
     monkeypatch.setenv("QSPT_CACHE", str(tmp_path / "cache"))
+    monkeypatch.setattr(cli, "_tables_cache", None)
     return tmp_path
 
 
@@ -104,3 +107,18 @@ def test_verify_thm1_1_small_window(capsys):
     doc = json.loads(out)
     assert doc["parameters"]["ell"] == 5
     assert doc["window"] == [-25, 120]
+
+
+def test_verify_cor1_4_sizes_its_own_tables(capsys):
+    code, out, _ = run(capsys, "verify", "cor1_4", "--ell", "7")
+    assert code == 0
+    assert json.loads(out)["status"] == "pass"
+
+
+def test_verify_non_integral_exit_one(capsys, monkeypatch, spt3_plus):
+    monkeypatch.setattr(cli, "_tables_cache", spt3_plus(Fraction(1, 7)))
+    code, out, _ = run(capsys, "verify", "eq9_mod_ell", "--ell", "5", "--window", "120")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "fail"
+    assert [m["exponent"] for m in doc["mismatches"]] == [71]

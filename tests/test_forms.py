@@ -1,4 +1,4 @@
-"""Classical series constructors and the registry cache."""
+"""Classical series constructors."""
 
 from fractions import Fraction
 
@@ -78,19 +78,6 @@ def test_alpha_series():
         forms.euler_series(60), lo=0, hi=55)
 
 
-def test_registry_cache_determinism():
-    reg = forms.FormRegistry()
-    a = reg.get("j", 20)
-    b = reg.get("j", 20)
-    assert a == b
-    big = reg.get("j", 40)
-    small = reg.get("j", 25)
-    assert small.precision == 25
-    assert big.truncate(25) == small
-    assert reg.get("delta", 10) == forms.delta_series(10)
-
-
-def test_registry_names_cover_all_constructors():
-    reg = forms.FormRegistry()
-    for name in forms.FormRegistry.names:
-        assert reg.get(name, 30).precision == 30
+def test_constructors_return_requested_precision():
+    for name, build in forms._CONSTRUCTORS.items():
+        assert build(30).precision == 30, name

@@ -112,3 +112,16 @@ def test_r_ell_series(tables):
 def test_verify_mod_ell_small(tables):
     rep = hecke.verify_mod_ell(HeckeContext(5), 240, tables)
     assert rep.passed
+
+
+def test_thm11_fails_at_corrupted_exponent(spt3_plus):
+    rep = hecke.verify_thm11(HeckeContext(5), 120, spt3_plus(1))
+    assert rep.status == "fail"
+    assert [m.exponent for m in rep.mismatches] == [71]
+
+
+def test_verify_mod_ell_non_integral_fails(spt3_plus):
+    rep = hecke.verify_mod_ell(HeckeContext(5), 120, spt3_plus(Fraction(1, 7)))
+    assert rep.status == "fail"
+    assert [m.exponent for m in rep.mismatches] == [71]
+    assert rep.mismatches[0].lhs.denominator == 7

@@ -79,8 +79,6 @@ def test_tables_require(tables):
     tables.require(tables.limit)
     with pytest.raises(TableTooSmall):
         tables.require(tables.limit + 1)
-    with pytest.raises(TableTooSmall):
-        pt.ustar(tables.limit + 1, tables)
 
 
 def test_s_fn_values():
@@ -113,17 +111,21 @@ def test_h_weights(tables):
 
 
 def test_g_matches_h(tables):
+    # the Corollary 1.5 weights: h1, h2 on the column 2a - u*
+    col = pt.spt_from_ustar(tables)
+    assert col == list(tables.spt)
     for m in (23, 47, 71, 95, 119, 575):
-        assert pt.g1(m, tables) == pt.h1(m, tables)
-        assert pt.g2(m, tables) == pt.h2(m, tables)
+        assert pt.h1(m, tables, col) == pt.h1(m, tables)
+        assert pt.h2(m, tables, col) == pt.h2(m, tables)
 
 
 def test_c_formula_first_coefficients(tables):
     assert pt.c_formula(1, tables) == 196884
     assert pt.c_formula(2, tables) == 21493760
     assert pt.c_formula(3, tables) == 864299970
+    col = pt.spt_from_ustar(tables)
     for n in range(1, 11):
-        assert pt.c_formula_g(n, tables) == pt.c_formula(n, tables)
+        assert pt.c_formula(n, tables, col) == pt.c_formula(n, tables)
 
 
 def test_c1_c2_decompositions(tables):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qspt.errors import LeadingZero, OutOfPrecision
-from qspt.series import LaurentSeries, _conv_int, _kron_mul
+from qspt.series import LaurentSeries, _kron_mul, convolve
 
 
 def dense(coeffs, val=0, prec=None):
@@ -184,4 +184,4 @@ def test_kronecker_matches_schoolbook():
             for j, y in enumerate(b):
                 school[i + j] += x * y
         assert _kron_mul(a, b, n) == school
-        assert _conv_int(a, b, n) == school
+        assert convolve(a, b, n) == school
