@@ -68,25 +68,27 @@ def _cache_store(name: str, series: LaurentSeries) -> None:
 
 
 def build_series(name: str, precision: int) -> LaurentSeries:
-    """Construct any named series, consulting the file cache first."""
+    """Construct any named series. The name is resolved before the file cache
+    is consulted, so the cache never answers for an unknown name."""
+    kind, _, ell = name.partition(":")
+    if name in forms._CONSTRUCTORS:
+        build = forms._CONSTRUCTORS[name]
+    elif name == "mplus":
+        build = lambda prec: hecke.m_plus(prec, _tables(prec // 24 + 1))
+    elif name == "spt_gen24":
+        build = lambda prec: hecke.spt_gen24(prec, _tables(prec // 24 + 1))
+    elif kind == "m_ell" and ell.isdecimal():
+        ctx = HeckeContext(int(ell))
+        build = lambda prec: hecke.m_ell(ctx, prec, _tables(prec * ctx.ell ** 2 // 24 + 1))
+    elif kind == "r_ell" and ell.isdecimal():
+        ctx = HeckeContext(int(ell))
+        build = lambda prec: hecke.r_ell_series(ctx, prec)
+    else:
+        raise UnknownSeries(f"unknown series name {name!r}")
     cached = _cache_lookup(name, precision)
     if cached is not None:
         return cached
-    if name in forms._CONSTRUCTORS:
-        series = forms._CONSTRUCTORS[name](precision)
-    elif name == "mplus":
-        series = hecke.m_plus(precision, _tables(precision // 24 + 1))
-    elif name == "spt_gen24":
-        series = hecke.spt_gen24(precision, _tables(precision // 24 + 1))
-    elif name.startswith("m_ell:"):
-        ctx = HeckeContext(int(name.split(":", 1)[1]))
-        series = hecke.m_ell(ctx, precision,
-                             _tables(precision * ctx.ell ** 2 // 24 + 1))
-    elif name.startswith("r_ell:"):
-        ctx = HeckeContext(int(name.split(":", 1)[1]))
-        series = hecke.r_ell_series(ctx, precision)
-    else:
-        raise UnknownSeries(f"unknown series name {name!r}")
+    series = build(precision)
     _cache_store(name, series)
     return series
 
@@ -166,6 +168,13 @@ def cmd_verify(args) -> int:
     return 0 if rep.passed else 1
 
 
+def _positive(text: str) -> int:
+    """argparse type for --prec, --max-n, --window and --m: an integer >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qspt",
                                  description="Exact q-series identities: build, export, verify.")
@@ -173,13 +182,13 @@ def make_parser() -> argparse.ArgumentParser:
 
     ser = sub.add_parser("series", help="write a named series in interchange JSON")
     ser.add_argument("--name", required=True)
-    ser.add_argument("--prec", type=int, required=True)
+    ser.add_argument("--prec", type=_positive, required=True)
     ser.add_argument("--out")
     ser.set_defaults(func=cmd_series)
 
     tab = sub.add_parser("table", help="export a statistic table")
     tab.add_argument("--name", required=True, choices=_TABLES)
-    tab.add_argument("--max-n", type=int, required=True)
+    tab.add_argument("--max-n", type=_positive, required=True)
     tab.add_argument("--format", choices=("csv", "json"), default="csv")
     tab.add_argument("--out")
     tab.set_defaults(func=cmd_table)
@@ -189,9 +198,9 @@ def make_parser() -> argparse.ArgumentParser:
                                        "cor1_4", "cor1_5", "eq9_mod_ell",
                                        "congruences", "internal_identities"))
     ver.add_argument("--ell", type=int, default=5)
-    ver.add_argument("--m", type=int, default=1)
-    ver.add_argument("--max-n", type=int)
-    ver.add_argument("--window", type=int)
+    ver.add_argument("--m", type=_positive, default=1)
+    ver.add_argument("--max-n", type=_positive)
+    ver.add_argument("--window", type=_positive)
     ver.add_argument("--sign-convention", choices=("plus", "minus"), default="plus")
     ver.set_defaults(func=cmd_verify)
     return ap

@@ -12,8 +12,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import add
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .arith import legendre
@@ -54,41 +53,29 @@ def p_table(N: int) -> list[int]:
     return p
 
 
-def spt_table(N: int) -> list[int]:
-    """spt(0..N) from the smallest-part generating function.
+def _over_euler(N: int, kernel: Iterable[tuple[int, int]]) -> list[int]:
+    """Coefficients 0..N of P(q) = 1/(q;q)_inf times the sparse series
+    sum w q^e over the (e, w) pairs of kernel, all with 0 <= e <= N."""
+    inner = [0] * (N + 1)
+    for e, w in kernel:
+        inner[e] += w
+    return convolve(p_table(N), inner, N + 1)
 
-    For each smallest part s the contribution is (sum_k k q^{sk}) times the
-    generating function for partitions into parts > s; the inner sums are
-    realized as prefix sums along stride-s progressions.
-    """
-    total = [0] * (N + 1)
-    g = [0] * (N + 1)
-    g[0] = 1  # partitions into parts > s, starting from s = N
-    for s in range(N, 0, -1):
-        u = [0] * s + g[:N + 1 - s]
-        for r in range(s):
-            u[r::s] = accumulate(u[r::s])
-        c = u
-        for r in range(s):
-            c[r::s] = accumulate(c[r::s])
-        total = list(map(add, total, c))
-        for r in range(s):
-            g[r::s] = accumulate(g[r::s])
-    total[0] = 0
-    return total
+
+def spt_table(N: int) -> list[int]:
+    """spt(0..N) by Andrews' identity: P(q) times
+    sum sigma(n) q^n + sum_{n>=1} (-1)^n q^(n(3n+1)/2) (1+q^n)/(1-q^n)^2."""
+    sigma = ((e, d) for d in range(1, N + 1) for e in range(d, N + 1, d))
+    # (1+x)/(1-x)^2 = sum_k (2k+1) x^k
+    pentagonal = ((e, (-1) ** n * (2 * k + 1)) for n in range(1, N + 1)
+                  for k, e in enumerate(range(n * (3 * n + 1) // 2, N + 1, n)))
+    return _over_euler(N, chain(sigma, pentagonal))
 
 
 def a_table(N: int) -> list[int]:
     """a(0..N): coefficients of (1/(q;q)_inf) * sum_n (-1)^(n-1) n q^(n(n+1)/2)/(1-q^n)."""
-    pd = p_table(N)
-    inner = [0] * (N + 1)
-    n = 1
-    while n * (n + 1) // 2 <= N:
-        w = n if n % 2 else -n
-        for idx in range(n * (n + 1) // 2, N + 1, n):
-            inner[idx] += w
-        n += 1
-    return convolve(pd, inner, N + 1)
+    return _over_euler(N, ((e, (-1) ** (n - 1) * n) for n in range(1, N + 1)
+                           for e in range(n * (n + 1) // 2, N + 1, n)))
 
 
 # ----------------------------------------------------------------------

@@ -71,7 +71,9 @@ def verify_internal_identities(ncoeffs: int = 500, poly_max: int = 30) -> Verifi
     rep = VerificationReport(check="internal_identities",
                              parameters={"coefficients": ncoeffs, "poly_max": poly_max},
                              window=(-poly_max, ncoeffs))
-    P = ncoeffs + poly_max + 2
+    # j * Delta is known one coefficient short of P, and the basis chain
+    # reads poly_max + 2 coefficients of j.
+    P = max(ncoeffs, poly_max + 1) + 1
     e4 = forms.eisenstein_e4(P)
     e6 = forms.eisenstein_e6(P)
     delta = forms.delta_series(P)

@@ -151,3 +151,19 @@ def test_criterion_11_decompositions(T, _line):
     _line(11, ok, "c(n) via u*/a weights for n <= 20 with itemized "
                   "c(1), c(2) splittings")
     assert ok, rep.details
+
+
+def test_criterion_12_larger_primes_and_m2(T, _line):
+    t0 = time.monotonic()
+    reps = []
+    for ell, window in ((13, 480), (17, 480), (19, 400), (23, 240)):
+        ctx = HeckeContext(ell)
+        reps += [hecke.verify_thm11(ctx, window, T), hecke.verify_mod_ell(ctx, window, T)]
+    for ell, max_n in ((5, 200), (7, 60)):
+        reps += [partitions.check_congruences(family, T, max_n=max_n, ell=ell, m=2)
+                 for family in ("eq6", "cor1_4")]
+    dt = time.monotonic() - t0
+    ok = all(r.passed for r in reps) and dt < 5
+    _line(12, ok, f"T(ell^2) closed form and divisibility for ell = 13..23; "
+                  f"eq6 and cor1_4 mod ell^2 for ell = 5, 7 ({dt:.1f}s)")
+    assert ok, [(r.check, r.parameters, r.mismatches[:2]) for r in reps if not r.passed]

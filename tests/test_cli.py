@@ -75,6 +75,33 @@ def test_unknown_series_exit_code(capsys):
     assert "unknown series" in err
 
 
+def test_series_name_resolved_before_cache(capsys):
+    code, _, _ = run(capsys, "series", "--name", "m_ell:5", "--prec", "24")
+    assert code == 0
+    # the cache file of m_ell:5 is m_ell_5__24.json; it must not answer
+    for name in ("m_ell_5", "m_ell:x", "m_ell:", "r_ell:5.0"):
+        code, out, err = run(capsys, "series", "--name", name, "--prec", "24")
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown series name {name!r}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("series", "--name", "j", "--prec", "-5"),
+    ("series", "--name", "j", "--prec", "x"),
+    ("table", "--name", "spt", "--max-n", "-2"),
+    ("verify", "thm1_2", "--max-n", "-4"),
+    ("verify", "thm1_1", "--window", "-24"),
+    ("verify", "congruences", "--m", "0"),
+])
+def test_non_positive_arguments_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "expected a positive integer" in err
+    assert "Traceback" not in err
+
+
 def test_table_csv_and_json(capsys):
     code, out, _ = run(capsys, "table", "--name", "spt", "--max-n", "4")
     assert code == 0

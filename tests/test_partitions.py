@@ -1,6 +1,8 @@
 """Partition statistics, enumeration oracles, and the coefficient formulas."""
 
 from fractions import Fraction
+from itertools import accumulate
+from operator import add
 
 import pytest
 
@@ -26,6 +28,31 @@ def test_spt_bruteforce_matches_table():
     s = pt.spt_table(40)
     for n in range(1, 41):
         assert pt.spt_bruteforce(n) == s[n]
+
+
+def _spt_sweep(N):
+    """spt(0..N) from the smallest-part generating function, O(N^2).
+
+    For each smallest part s the contribution is (sum_k k q^{sk}) times the
+    generating function for partitions into parts > s; the inner sums are
+    realized as prefix sums along stride-s progressions."""
+    total = [0] * (N + 1)
+    g = [0] * (N + 1)
+    g[0] = 1  # partitions into parts > s, starting from s = N
+    for s in range(N, 0, -1):
+        c = [0] * s + g[:N + 1 - s]
+        for _ in range(2):
+            for r in range(s):
+                c[r::s] = accumulate(c[r::s])
+        total = list(map(add, total, c))
+        for r in range(s):
+            g[r::s] = accumulate(g[r::s])
+    total[0] = 0
+    return total
+
+
+def test_spt_table_matches_smallest_part_sweep(tables):
+    assert list(tables.spt) == _spt_sweep(tables.limit)
 
 
 def test_spt_enumeration_guard():
@@ -68,6 +95,19 @@ def test_ustar_values(tables):
 def test_ustar_bruteforce_matches(tables):
     for n in range(1, 19):
         assert pt.ustar_bruteforce(n) == tables.ustar[n]
+
+
+def test_ustar_matches_unimodal_rank_series(tables):
+    # U(-1; q) = sum_{k>=0} (q;q)_k^2 q^(k+1), the rank generating function
+    # of strongly unimodal sequences at z = -1 (Bryson-Ono-Pitman-Rhoades)
+    N = tables.limit
+    u = [0] * (N + 1)
+    sq = [1] + [0] * N  # (q;q)_k^2, truncated to degree N
+    for k in range(N):
+        u[k + 1:] = [x + y for x, y in zip(u[k + 1:], sq)]
+        for _ in range(2):  # times (1 - q^(k+1))
+            sq[k + 1:] = [x - y for x, y in zip(sq[k + 1:], sq)]
+    assert list(tables.ustar) == u
 
 
 def test_ustar_enumeration_guard():

@@ -66,3 +66,8 @@ def test_internal_identities_small():
     assert any(d.startswith("delta = eta^24") for d in rep.details)
     assert all(d.endswith(": ok") or ": " not in d or "checked" in d
                for d in rep.details)
+
+
+def test_internal_identities_chain_past_the_window():
+    # the basis chain reads poly_max + 2 coefficients of j, more than ncoeffs here
+    assert verify.verify_internal_identities(ncoeffs=5, poly_max=30).passed
