@@ -39,7 +39,3 @@ class UnknownSeries(QsptError):
 
 class UnknownCheck(QsptError):
     """CLI request for a verification check that does not exist."""
-
-
-class UnknownTable(QsptError):
-    """CLI request for a table name that does not exist."""

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import forms, jbasis
-from .arith import chi12, is_prime, legendre
+from .arith import is_prime, legendre
 from .errors import BadModulus, BadSupport
 from .partitions import StatTables
 from .report import VerificationReport

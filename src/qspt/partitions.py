@@ -53,28 +53,31 @@ def p_table(N: int) -> list[int]:
     return p
 
 
-def _over_euler(N: int, kernel: Iterable[tuple[int, int]]) -> list[int]:
-    """Coefficients 0..N of P(q) = 1/(q;q)_inf times the sparse series
-    sum w q^e over the (e, w) pairs of kernel, all with 0 <= e <= N."""
-    inner = [0] * (N + 1)
+def _over_euler(p: list[int], kernel: Iterable[tuple[int, int]]) -> list[int]:
+    """Coefficients 0..N of P(q) = 1/(q;q)_inf, given as p = p(0..N), times
+    the sparse series sum w q^e over the (e, w) pairs of kernel (0 <= e <= N)."""
+    inner = [0] * len(p)
     for e, w in kernel:
         inner[e] += w
-    return convolve(p_table(N), inner, N + 1)
+    return convolve(p, inner, len(p))
 
 
-def spt_table(N: int) -> list[int]:
-    """spt(0..N) by Andrews' identity: P(q) times
+def spt_table(p: list[int]) -> list[int]:
+    """spt(0..N) from the column p = p(0..N) by Andrews' identity: P(q) times
     sum sigma(n) q^n + sum_{n>=1} (-1)^n q^(n(3n+1)/2) (1+q^n)/(1-q^n)^2."""
+    N = len(p) - 1
     sigma = ((e, d) for d in range(1, N + 1) for e in range(d, N + 1, d))
     # (1+x)/(1-x)^2 = sum_k (2k+1) x^k
     pentagonal = ((e, (-1) ** n * (2 * k + 1)) for n in range(1, N + 1)
                   for k, e in enumerate(range(n * (3 * n + 1) // 2, N + 1, n)))
-    return _over_euler(N, chain(sigma, pentagonal))
+    return _over_euler(p, chain(sigma, pentagonal))
 
 
-def a_table(N: int) -> list[int]:
-    """a(0..N): coefficients of (1/(q;q)_inf) * sum_n (-1)^(n-1) n q^(n(n+1)/2)/(1-q^n)."""
-    return _over_euler(N, ((e, (-1) ** (n - 1) * n) for n in range(1, N + 1)
+def a_table(p: list[int]) -> list[int]:
+    """a(0..N) from the column p = p(0..N): coefficients of
+    (1/(q;q)_inf) * sum_n (-1)^(n-1) n q^(n(n+1)/2)/(1-q^n)."""
+    N = len(p) - 1
+    return _over_euler(p, ((e, (-1) ** (n - 1) * n) for n in range(1, N + 1)
                            for e in range(n * (n + 1) // 2, N + 1, n)))
 
 
@@ -201,8 +204,8 @@ class StatTables:
     @classmethod
     def build(cls, N: int) -> "StatTables":
         p = p_table(N)
-        spt = spt_table(N)
-        a = a_table(N)
+        spt = spt_table(p)
+        a = a_table(p)
         ustar = [-s + 2 * x for s, x in zip(spt, a)]
         return cls(N, tuple(p), tuple(spt), tuple(a), tuple(ustar))
 

@@ -17,8 +17,6 @@ from typing import Iterable, Iterator, Mapping
 from .errors import LeadingZero, OutOfPrecision
 from .report import VerificationReport
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 
 # support-size product below which schoolbook convolution beats packing
@@ -50,41 +48,33 @@ def convolve(a: list[int], b: list[int], n_out: int) -> list[int]:
     return _kron_mul(a, b, n_out)
 
 
-def _pack(arr: list[int], k: int) -> int:
-    """Pack signed limbs into a single integer with limb width k bits."""
-    nbytes = k // 8
-    pos = bytearray(len(arr) * nbytes)
-    neg = bytearray(len(arr) * nbytes)
-    has_neg = False
-    for i, c in enumerate(arr):
-        if c > 0:
-            pos[i * nbytes:(i + 1) * nbytes] = c.to_bytes(nbytes, "little")
-        elif c < 0:
-            neg[i * nbytes:(i + 1) * nbytes] = (-c).to_bytes(nbytes, "little")
-            has_neg = True
-    n = int.from_bytes(pos, "little")
-    if has_neg:
-        n -= int.from_bytes(neg, "little")
-    return n
+def _bias(n: int, nbytes: int) -> int:
+    """n limbs of nbytes bytes, each holding half = 2^(8*nbytes - 1)."""
+    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * n, "little")
+
+
+def _pack(arr: list[int], nbytes: int) -> int:
+    """Pack signed limbs, each inside +-2^(8*nbytes - 2), into one integer."""
+    half = 1 << (8 * nbytes - 1)
+    buf = b"".join((c + half).to_bytes(nbytes, "little") for c in arr)
+    return int.from_bytes(buf, "little") - _bias(len(arr), nbytes)
 
 
 def _kron_mul(a: list[int], b: list[int], n_out: int) -> list[int]:
-    """Exact convolution by Kronecker substitution (one big-int multiply)."""
+    """Exact convolution by Kronecker substitution (one big-int multiply).
+
+    Every output coefficient lies strictly inside +-2^(8*nbytes - 2), so
+    each limb of product + bias lies in [0, 2^(8*nbytes)) and none carries.
+    """
     ma = max(map(abs, a))
     mb = max(map(abs, b))
     k = ma.bit_length() + mb.bit_length() + min(len(a), len(b)).bit_length() + 2
-    k = (k + 7) & ~7
-    p = _pack(a, k) * _pack(b, k)
-    mask = (1 << k) - 1
-    half = 1 << (k - 1)
-    out = []
-    for _ in range(n_out):
-        r = p & mask
-        if r >= half:
-            r -= mask + 1
-        out.append(r)
-        p = (p - r) >> k
-    return out
+    nbytes = (k + 7) // 8
+    p = _pack(a, nbytes) * _pack(b, nbytes) + _bias(n_out, nbytes)
+    buf = (p & ((1 << 8 * nbytes * n_out) - 1)).to_bytes(nbytes * n_out, "little")
+    half = 1 << (8 * nbytes - 1)
+    return [int.from_bytes(buf[i:i + nbytes], "little") - half
+            for i in range(0, nbytes * n_out, nbytes)]
 
 
 def _conv_frac(a: list[Fraction], b: list[Fraction], n_out: int) -> list[Fraction]:

@@ -1,5 +1,5 @@
 """Shared fixtures: one mid-size statistics table for the unit tests, and
-small tables with one corrupted spt entry for fault injection."""
+copies of it with one corrupted entry for fault injection."""
 
 import dataclasses
 
@@ -14,12 +14,12 @@ def tables():
 
 
 @pytest.fixture(scope="session")
-def spt3_plus():
-    """Tables reaching window 120 at ell = 5, with delta added to spt(3),
-    the coefficient of q^71 in M+."""
-    t = StatTables.build(126)
+def perturbed(tables):
+    """The session tables with delta added to entry index of one column."""
 
-    def build(delta):
-        return dataclasses.replace(t, spt=t.spt[:3] + (t.spt[3] + delta,) + t.spt[4:])
+    def build(column, index, delta=1):
+        col = getattr(tables, column)
+        bumped = col[:index] + (col[index] + delta,) + col[index + 1:]
+        return dataclasses.replace(tables, **{column: bumped})
 
     return build

@@ -110,6 +110,9 @@ def test_table_csv_and_json(capsys):
                        "--format", "json")
     assert json.loads(out) == [{"n": 1, "value": "1"}, {"n": 2, "value": "2"},
                                {"n": 3, "value": "3"}]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["table", "--name", "nope", "--max-n", "3"])
+    assert exc.value.code == 2
 
 
 def test_verify_pass_exit_zero(capsys):
@@ -127,6 +130,15 @@ def test_verify_fail_exit_one(capsys):
     assert json.loads(out)["status"] == "fail"
 
 
+def test_verify_perturbed_tables_exit_one(capsys, monkeypatch, perturbed):
+    monkeypatch.setattr(cli, "_tables_cache", perturbed("spt", 24))
+    code, out, _ = run(capsys, "verify", "thm1_2")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "fail"
+    assert [m["exponent"] for m in doc["mismatches"]] == [1, 2, 3, 6, 8, 13, 16]
+
+
 def test_verify_thm1_1_small_window(capsys):
     code, out, _ = run(capsys, "verify", "thm1_1", "--ell", "5",
                        "--window", "120")
@@ -142,8 +154,8 @@ def test_verify_cor1_4_sizes_its_own_tables(capsys):
     assert json.loads(out)["status"] == "pass"
 
 
-def test_verify_non_integral_exit_one(capsys, monkeypatch, spt3_plus):
-    monkeypatch.setattr(cli, "_tables_cache", spt3_plus(Fraction(1, 7)))
+def test_verify_non_integral_exit_one(capsys, monkeypatch, perturbed):
+    monkeypatch.setattr(cli, "_tables_cache", perturbed("spt", 3, Fraction(1, 7)))
     code, out, _ = run(capsys, "verify", "eq9_mod_ell", "--ell", "5", "--window", "120")
     assert code == 1
     doc = json.loads(out)

@@ -18,14 +18,14 @@ def test_p_table_values():
 
 
 def test_spt_table_values():
-    s = pt.spt_table(49)
+    s = pt.spt_table(pt.p_table(49))
     assert s[1:7] == [1, 3, 5, 10, 14, 26]
     assert s[24] == 6545
     assert s[49] == 1002435
 
 
 def test_spt_bruteforce_matches_table():
-    s = pt.spt_table(40)
+    s = pt.spt_table(pt.p_table(40))
     for n in range(1, 41):
         assert pt.spt_bruteforce(n) == s[n]
 
@@ -67,7 +67,7 @@ def test_iter_partitions_counts():
 
 
 def test_a_table_values():
-    a = pt.a_table(6)
+    a = pt.a_table(pt.p_table(6))
     assert a[1:7] == [1, 2, 2, 5, 6, 14]
 
 
@@ -83,7 +83,7 @@ def test_t_signed_examples():
 
 
 def test_ts_sum_matches_a_table():
-    a = pt.a_table(25)
+    a = pt.a_table(pt.p_table(25))
     for n in range(1, 26):
         assert pt.ts_sum_bruteforce(n) == a[n]
 

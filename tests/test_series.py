@@ -175,13 +175,28 @@ def test_dump_load(tmp_path):
 
 def test_kronecker_matches_schoolbook():
     rng = random.Random(5)
-    for _ in range(10):
-        a = [rng.randrange(-10 ** 6, 10 ** 6) for _ in range(rng.randrange(2, 80))]
-        b = [rng.randrange(-10 ** 6, 10 ** 6) for _ in range(rng.randrange(2, 80))]
-        n = len(a) + len(b) - 1
-        school = [0] * n
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                school[i + j] += x * y
-        assert _kron_mul(a, b, n) == school
-        assert convolve(a, b, n) == school
+
+    def limbs(length, bits, kind):
+        if kind == "negative":
+            return [-rng.randrange(1, 2 ** bits + 1) for _ in range(length)]
+        if kind == "extreme":  # every product term at the largest magnitude
+            return [1 - 2 ** bits] * length
+        if kind == "single":
+            out = [0] * length
+            out[rng.randrange(length)] = rng.choice((-1, 1)) * rng.randrange(1, 2 ** bits + 1)
+            return out
+        return [rng.randrange(-2 ** bits, 2 ** bits + 1) for _ in range(length)]
+
+    # widths up to the ~5,500-bit numerators of the Newton inverse in alpha
+    for bits in (1, 2, 7, 8, 9, 20, 64, 300, 1000, 6000):
+        for kind in ("mixed", "negative", "single", "extreme"):
+            a = limbs(rng.randrange(1, 60), bits, kind)
+            b = limbs(rng.randrange(1, 60), rng.randrange(1, bits + 1), kind)
+            full = len(a) + len(b) - 1
+            school = [0] * (full + 5)
+            for i, x in enumerate(a):
+                for j, y in enumerate(b):
+                    school[i + j] += x * y
+            for n in (1, full - 1, full, full + 5):
+                assert _kron_mul(a, b, n) == school[:n]
+                assert convolve(a, b, n) == school[:n]

@@ -1,8 +1,11 @@
 """Verification drivers produce structured reports that pass on honest inputs."""
 
+from functools import partial
+
 import pytest
 
 from qspt import forms, verify
+from qspt.partitions import check_congruences
 from qspt.errors import OutOfPrecision
 from qspt.report import VerificationReport
 
@@ -71,3 +74,22 @@ def test_internal_identities_small():
 def test_internal_identities_chain_past_the_window():
     # the basis chain reads poly_max + 2 coefficients of j, more than ncoeffs here
     assert verify.verify_internal_identities(ncoeffs=5, poly_max=30).passed
+
+
+@pytest.mark.parametrize("verifier, column, index, exponents", [
+    (verify.verify_thm1_2, "spt", 24, [1, 2, 3, 6, 8, 13, 16]),
+    (verify.verify_thm1_2, "p", 49, [2, 3, 4, 7, 9, 14, 17]),
+    (partial(verify.verify_thm1_3, max_n=20), "a", 17, [17]),
+    (partial(verify.verify_eq17, max_n=14), "ustar", 12, [12]),
+    # each n is recorded against both c(n) and the h-formula
+    (verify.verify_cor1_5, "ustar", 24, [1, 1, 2, 2, 3, 3, 6, 6, 8, 8, 13, 13, 16, 16]),
+    (partial(check_congruences, "andrews", max_n=40), "spt", 4, [4]),
+    (partial(check_congruences, "all", max_n=40), "spt", 4, [4]),
+    (partial(check_congruences, "eq5", max_n=200), "spt", 74, [74]),
+    (partial(check_congruences, "cor1_4", max_n=200), "ustar", 74, [74]),
+], ids=["thm1_2-spt", "thm1_2-p", "thm1_3", "eq17", "cor1_5",
+        "andrews", "all", "eq5", "cor1_4"])
+def test_verifier_fails_at_corrupted_entry(perturbed, verifier, column, index, exponents):
+    rep = verifier(perturbed(column, index))
+    assert rep.status == "fail"
+    assert [m.exponent for m in rep.mismatches] == exponents
