@@ -52,8 +52,8 @@ def _cache_lookup(name: str, precision: int) -> LaurentSeries | None:
                 best = prec
     if best is None:
         return None
-    _, series = LaurentSeries.load(os.path.join(d, prefix + f"{best}.json"))
-    return series.truncate(precision)
+    _, series = LaurentSeries.load(os.path.join(d, prefix + f"{best}.json"), precision)
+    return series
 
 
 def _cache_store(name: str, series: LaurentSeries) -> None:

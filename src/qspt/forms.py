@@ -65,20 +65,20 @@ def delta_series(P: int) -> LaurentSeries:
 def j_series(P: int) -> LaurentSeries:
     """j = E4^3 / Delta = q^-1 + 744 + 196884 q + ..."""
     q = P + _PAD
-    return (eisenstein_e4(q).pow(3) * delta_series(q).invert()).truncate(P)
+    return (eisenstein_e4(q).pow(3) / delta_series(q)).truncate(P)
 
 
 def jprime_neg_series(P: int) -> LaurentSeries:
     """-q dj/dq = E4^2 E6 / Delta = q^-1 - sum n c(n) q^n."""
     q = P + _PAD
-    f = eisenstein_e4(q).pow(2) * eisenstein_e6(q) * delta_series(q).invert()
+    f = eisenstein_e4(q).pow(2) * eisenstein_e6(q) / delta_series(q)
     return f.truncate(P)
 
 
 def alpha_series(P: int) -> LaurentSeries:
     """alpha = (q;q)_inf / (-q dj/dq) = q + O(q^2)."""
     q = P + _PAD
-    return (euler_series(q) * jprime_neg_series(q).invert()).truncate(P)
+    return (euler_series(q) / jprime_neg_series(q)).truncate(P)
 
 
 _CONSTRUCTORS = {

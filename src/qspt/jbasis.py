@@ -120,7 +120,7 @@ def basis_decompose(f: LaurentSeries, alpha: LaurentSeries,
 
     Raises NotInSpan when the residual after subtracting the B-combination
     is not O(q)."""
-    quotient = f * alpha.invert()
+    quotient = f / alpha
     principal = [(e, c) for e, c in quotient.terms() if e <= -1]
     if not principal:
         if any(e <= 0 for e, _ in f.terms()):

@@ -26,7 +26,7 @@ _UNIMODAL_ENUM_GUARD = 40
 
 def pentagonal_terms(limit: int) -> list[tuple[int, int]]:
     """(exponent, sign) pairs of (q;q)_inf below limit, exponents increasing."""
-    out = []
+    out = [(0, 1)] if limit > 0 else []
     k = 1
     while k * (3 * k - 1) // 2 < limit:
         s = -1 if k % 2 else 1
@@ -35,7 +35,7 @@ def pentagonal_terms(limit: int) -> list[tuple[int, int]]:
             out.append((k * (3 * k + 1) // 2, s))
         k += 1
     out.sort()
-    return [(0, 1)] + out
+    return out
 
 
 def p_table(N: int) -> list[int]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator, Mapping
 
 from .errors import LeadingZero, OutOfPrecision
@@ -22,12 +23,42 @@ _ZERO = Fraction(0)
 # support-size product below which schoolbook convolution beats packing
 _SCHOOLBOOK_CUTOFF = 1 << 14
 
+# Decimal conversion goes in blocks of this many digits: int() and str() refuse
+# more digits than sys.get_int_max_str_digits() (4300 by default, 640 at least).
+_BLOCK_DIGITS = 512
+_BLOCK = 10 ** _BLOCK_DIGITS
+
 
 def _pp_count(val: int, prec: int, stride: int) -> int:
     """Number of progression points val, val+stride, ... below prec."""
     if prec <= val:
         return 0
     return -((val - prec) // stride)
+
+
+def _to_decimal(n: int) -> str:
+    """str(n) for an integer of any size."""
+    if -_BLOCK < n < _BLOCK:
+        return str(n)
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    blocks = []
+    while n >= _BLOCK:
+        n, r = divmod(n, _BLOCK)
+        blocks.append(str(r).zfill(_BLOCK_DIGITS))
+    blocks.append(str(n))
+    return sign + "".join(reversed(blocks))
+
+
+def _from_decimal(s: str) -> int:
+    """int(s) for a decimal string of any length."""
+    if len(s) <= _BLOCK_DIGITS:
+        return int(s)
+    digits = s.lstrip("-")
+    head = len(digits) % _BLOCK_DIGITS or _BLOCK_DIGITS
+    n = int(digits[:head])
+    for i in range(head, len(digits), _BLOCK_DIGITS):
+        n = n * _BLOCK + int(digits[i:i + _BLOCK_DIGITS])
+    return -n if s.startswith("-") else n
 
 
 def convolve(a: list[int], b: list[int], n_out: int) -> list[int]:
@@ -77,12 +108,16 @@ def _kron_mul(a: list[int], b: list[int], n_out: int) -> list[int]:
             for i in range(0, nbytes * n_out, nbytes)]
 
 
+def _clear_denominators(a: list[Fraction]) -> tuple[list[int], int]:
+    """Integers c and one common denominator d with a = c / d."""
+    d = math.lcm(*(x.denominator for x in a))
+    return [x.numerator * (d // x.denominator) for x in a], d
+
+
 def _conv_frac(a: list[Fraction], b: list[Fraction], n_out: int) -> list[Fraction]:
     """Truncated Cauchy product of rational coefficient lists."""
-    da = math.lcm(*(x.denominator for x in a)) if a else 1
-    db = math.lcm(*(x.denominator for x in b)) if b else 1
-    ai = [x.numerator * (da // x.denominator) for x in a]
-    bi = [x.numerator * (db // x.denominator) for x in b]
+    ai, da = _clear_denominators(a)
+    bi, db = _clear_denominators(b)
     ci = convolve(ai, bi, n_out)
     d = da * db
     if d == 1:
@@ -291,24 +326,44 @@ class LaurentSeries:
         return LaurentSeries(self.stride, self.offset, self.valuation,
                              self.precision, [c * x for x in self.coeffs])
 
+    def __truediv__(self, other: "LaurentSeries") -> "LaurentSeries":
+        """Quotient h with other*h = self, on the window of self * other.invert().
+
+        With self = N/dn and other = A/da over integers, h_k = da H_k /
+        (dn a0^(k+1)) where H_k = a0^k N_k - sum_{i>=1} A_i a0^(i-1) H_(k-i):
+        one exact integer dot product per coefficient. It beats a Newton
+        inverse followed by a Kronecker product when the quotient's
+        coefficients grow along the series, because Kronecker substitution
+        pads every packed limb to the widest coefficient.
+        """
+        f, g = self, other
+        if not g.coeffs:
+            raise LeadingZero("cannot divide by a series with zero leading coefficient")
+        s = math.gcd(f.stride, g.stride)
+        f = f._reexpand(s)
+        g = g._reexpand(s)
+        val = f.valuation - g.valuation
+        prec = min(f.precision - g.valuation, g.precision - 2 * g.valuation + f.valuation)
+        if not f.coeffs:
+            return LaurentSeries.zero(prec, s, (f.offset - g.valuation) % s)
+        n = _pp_count(val, prec, s)
+        num, dn = _clear_denominators(f._window_coeffs()[:n])
+        den, da = _clear_denominators(g._window_coeffs()[:n])
+        a0 = den[0]
+        w = [x * a0 ** i for i, x in enumerate(den[1:])]  # A_i a0^(i-1)
+        h = []
+        for k, x in enumerate(num):
+            h.append(a0 ** k * x - sum(map(mul, w, reversed(h))))
+        cs = [Fraction(da * x, dn * a0 ** (k + 1)) for k, x in enumerate(h)]
+        return LaurentSeries(s, val % s, val, prec, cs)
+
     def invert(self) -> "LaurentSeries":
-        """Multiplicative inverse g with self*g = 1 to the available precision."""
-        if not self.coeffs:
-            raise LeadingZero("cannot invert a series with zero leading coefficient")
-        a = self._window_coeffs()
-        n = len(a)
-        g = [1 / a[0]]
-        m = 1
-        # Newton iteration g <- g*(2 - a*g), doubling the correct length each step
-        while m < n:
-            m = min(2 * m, n)
-            t = _conv_frac(a[:m], g, m)
-            e = [-x for x in t]
-            e[0] += 2
-            g = _conv_frac(g, e, m)
-        val = -self.valuation
-        prec = self.precision - 2 * self.valuation
-        return LaurentSeries(self.stride, val % self.stride, val, prec, g)
+        """Multiplicative inverse g with self*g = 1 to the available precision.
+
+        The numerator 1 is known one exponent past the quotient's window, so
+        the window is set by self alone and a zero self still reaches the
+        LeadingZero check of the division."""
+        return LaurentSeries.one(self.precision - self.valuation + 1, self.stride) / self
 
     def pow(self, k: int) -> "LaurentSeries":
         """Integer power; negative k requires an invertible leading coefficient."""
@@ -365,7 +420,7 @@ class LaurentSeries:
             "offset": self.offset,
             "valuation": self.valuation,
             "precision": self.precision,
-            "coefficients": [[str(c.numerator), str(c.denominator)]
+            "coefficients": [[_to_decimal(c.numerator), _to_decimal(c.denominator)]
                              for c in self._window_coeffs()],
         }
 
@@ -376,10 +431,15 @@ class LaurentSeries:
         return cs
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "LaurentSeries":
-        cs = [Fraction(int(num), int(den)) for num, den in doc["coefficients"]]
-        return cls(doc["stride"], doc["offset"], doc["valuation"],
-                   doc["precision"], cs)
+    def from_json_dict(cls, doc: dict, precision: int | None = None) -> "LaurentSeries":
+        """Inverse of to_json_dict. Given a precision, the series truncated
+        below it, converting only the coefficients that are kept."""
+        pairs = doc["coefficients"]
+        if precision is not None:
+            pairs = pairs[:_pp_count(doc["valuation"], precision, doc["stride"])]
+        cs = [Fraction(_from_decimal(num), _from_decimal(den)) for num, den in pairs]
+        series = cls(doc["stride"], doc["offset"], doc["valuation"], doc["precision"], cs)
+        return series if precision is None else series.truncate(precision)
 
     def dump(self, path, name: str) -> None:
         with open(path, "w") as fh:
@@ -387,7 +447,7 @@ class LaurentSeries:
             fh.write("\n")
 
     @classmethod
-    def load(cls, path) -> tuple[str, "LaurentSeries"]:
+    def load(cls, path, precision: int | None = None) -> tuple[str, "LaurentSeries"]:
         with open(path) as fh:
             doc = json.load(fh)
-        return doc["name"], cls.from_json_dict(doc)
+        return doc["name"], cls.from_json_dict(doc, precision)

@@ -57,6 +57,22 @@ def test_cache_reuse_is_byte_identical(capsys, tmp_path):
     assert doc["coefficients"] == json.loads(first)["coefficients"][:8]
 
 
+def test_series_eta24_precision_one(capsys):
+    code, out, _ = run(capsys, "series", "--name", "eta24", "--prec", "1")
+    assert code == 0
+    assert cli.build_series("eta24", 1) == LaurentSeries.zero(1)
+    assert json.loads(out)["coefficients"] == []
+
+
+def test_cache_round_trip_past_the_digit_limit():
+    big = Fraction(10 ** 5000 - 1, 7)
+    stored = LaurentSeries(1, 0, 1, 8, [1, big, 0, -big])
+    cli._cache_store("probe", stored)
+    for prec in (1, 2, 3, 8):
+        hit = cli._cache_lookup("probe", prec)
+        assert hit.to_json_dict("probe") == stored.truncate(prec).to_json_dict("probe")
+
+
 def test_series_mplus_and_hecke_names(capsys):
     code, out, _ = run(capsys, "series", "--name", "mplus", "--prec", "48")
     assert code == 0

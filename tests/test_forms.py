@@ -80,4 +80,5 @@ def test_alpha_series():
 
 def test_constructors_return_requested_precision():
     for name, build in forms._CONSTRUCTORS.items():
-        assert build(30).precision == 30, name
+        for P in (1, 2, 30):
+            assert build(P).precision == P, (name, P)

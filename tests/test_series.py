@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qspt.errors import LeadingZero, OutOfPrecision
 from qspt.series import LaurentSeries, _kron_mul, convolve
@@ -139,6 +141,62 @@ def test_invert_zero_raises():
         LaurentSeries.zero(5).invert()
 
 
+LEADS = (1, -1, 2, -3, Fraction(1, 3))
+
+
+@st.composite
+def series(draw, leads=LEADS):
+    """A series on stride 1, 2 or 24 with a chosen leading coefficient."""
+    stride = draw(st.sampled_from((1, 2, 24)))
+    val = draw(st.integers(-30, 30))
+    rest = draw(st.lists(st.builds(Fraction, st.integers(-60, 60), st.integers(1, 4)),
+                         max_size=12))
+    cs = [draw(st.sampled_from(leads))] + rest
+    prec = val + stride * (len(cs) + draw(st.integers(0, 3)))
+    return LaurentSeries(stride, val % stride, val, prec, cs)
+
+
+divisions = settings(deadline=None)
+
+
+@divisions
+@given(series(leads=LEADS + (0,)), series())
+def test_quotient_times_divisor_is_dividend(f, g):
+    prod = (f / g) * g
+    assert prod.precision == min(f.precision, f.valuation + g.precision - g.valuation)
+    assert prod.agrees_with(f)
+
+
+@divisions
+@given(series(leads=LEADS + (0,)), series())
+def test_division_is_product_with_inverse(f, g):
+    assert (f / g).to_json_dict("h") == (f * g.invert()).to_json_dict("h")
+    unit = g * g.invert()
+    assert unit.precision == g.precision - g.valuation
+    assert unit.agrees_with(LaurentSeries.one(unit.precision, g.stride))
+
+
+@divisions
+@given(series(leads=LEADS + (0,)), series(), st.integers(1, 3))
+def test_division_is_precision_honest(f, g, k):
+    # dividing the longer inputs and truncating equals dividing the shorter ones
+    fk = f.truncate(f.precision - k * f.stride)
+    gk = g.truncate(g.precision - k * g.stride)
+    if gk.is_zero():
+        return
+    short = fk / gk
+    assert (f / g).truncate(short.precision).to_json_dict("h") == short.to_json_dict("h")
+
+
+@given(series(leads=LEADS + (0,)), st.sampled_from((1, 2, 24)), st.integers(-5, 20))
+def test_zero_divisor_raises(f, stride, prec):
+    zero = LaurentSeries.zero(prec, stride)
+    with pytest.raises(LeadingZero):
+        f / zero
+    with pytest.raises(LeadingZero):
+        zero.invert()
+
+
 def test_pow_negative_and_zero():
     f = dense([1, 1, 1, 1, 1, 1])
     assert f.pow(0).coeff(0) == 1
@@ -165,6 +223,30 @@ def test_json_round_trip_bit_exact():
     assert clone.to_json_dict("sample") == doc
 
 
+def test_json_round_trip_past_the_digit_limit():
+    # 5,000 decimal digits: more than int() and str() accept by default
+    num, den = -(10 ** 5000 - 1), 10 ** 5000 + 1
+    f = LaurentSeries(1, 0, -1, 6, [Fraction(num, den), 1, 0, Fraction(den, 3)])
+    doc = json.loads(json.dumps(f.to_json_dict("big")))
+    assert doc["coefficients"][0] == ["-" + "9" * 5000, "1" + "0" * 4999 + "1"]
+    clone = LaurentSeries.from_json_dict(doc)
+    assert clone == f and clone.to_json_dict("big") == f.to_json_dict("big")
+    # every digit count up to 1,600, across the boundaries of any conversion blocks
+    nines = LaurentSeries(1, 0, 1, 1601, [(-1) ** k * (10 ** k - 1) for k in range(1, 1601)])
+    doc = json.loads(json.dumps(nines.to_json_dict("nines")))
+    assert [num for num, _ in doc["coefficients"]] == [
+        "-" * (k % 2) + "9" * k for k in range(1, 1601)]
+    assert LaurentSeries.from_json_dict(doc) == nines
+
+
+def test_json_load_below_a_precision_equals_truncation():
+    f = LaurentSeries(24, 23, -1, 120, [Fraction(-1, 12), Fraction(35, 12), 0, 7, 0])
+    doc = f.to_json_dict("sample")
+    for prec in range(-3, 125):
+        assert (LaurentSeries.from_json_dict(doc, prec).to_json_dict("sample")
+                == f.truncate(prec).to_json_dict("sample"))
+
+
 def test_dump_load(tmp_path):
     f = dense([1, 0, Fraction(2, 3)], val=-1)
     path = tmp_path / "f.json"
@@ -187,7 +269,7 @@ def test_kronecker_matches_schoolbook():
             return out
         return [rng.randrange(-2 ** bits, 2 ** bits + 1) for _ in range(length)]
 
-    # widths up to the ~5,500-bit numerators of the Newton inverse in alpha
+    # widths up to the ~5,500-bit coefficients of alpha at precision 608
     for bits in (1, 2, 7, 8, 9, 20, 64, 300, 1000, 6000):
         for kind in ("mixed", "negative", "single", "extreme"):
             a = limbs(rng.randrange(1, 60), bits, kind)
