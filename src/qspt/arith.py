@@ -1,6 +1,14 @@
-"""Small number-theoretic helpers: primality and quadratic symbols."""
+"""Small number-theoretic helpers: primality, quadratic symbols, and decimal
+strings of integers and fractions of any size."""
+
+from fractions import Fraction
 
 from .errors import BadModulus
+
+# Decimal conversion goes in blocks of this many digits: int() and str() refuse
+# more digits than sys.get_int_max_str_digits() (4300 by default, 640 at least).
+_BLOCK_DIGITS = 512
+_BLOCK = 10 ** _BLOCK_DIGITS
 
 
 def is_prime(n: int) -> bool:
@@ -27,11 +35,33 @@ def legendre(a: int, p: int) -> int:
     return 1 if r == 1 else -1
 
 
-def chi12(m: int) -> int:
-    """The character (12|.): +1 for m = +-1 mod 12, -1 for m = +-5 mod 12, else 0."""
-    r = m % 12
-    if r in (1, 11):
-        return 1
-    if r in (5, 7):
-        return -1
-    return 0
+def to_decimal(n: int) -> str:
+    """str(n) for an integer of any size."""
+    if -_BLOCK < n < _BLOCK:
+        return str(n)
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    blocks = []
+    while n >= _BLOCK:
+        n, r = divmod(n, _BLOCK)
+        blocks.append(str(r).zfill(_BLOCK_DIGITS))
+    blocks.append(str(n))
+    return sign + "".join(reversed(blocks))
+
+
+def from_decimal(s: str) -> int:
+    """int(s) for a decimal string of any length."""
+    if len(s) <= _BLOCK_DIGITS:
+        return int(s)
+    digits = s.lstrip("-")
+    head = len(digits) % _BLOCK_DIGITS or _BLOCK_DIGITS
+    n = int(digits[:head])
+    for i in range(head, len(digits), _BLOCK_DIGITS):
+        n = n * _BLOCK + int(digits[i:i + _BLOCK_DIGITS])
+    return -n if s.startswith("-") else n
+
+
+def fraction_str(x: Fraction) -> str:
+    """str(x) for a fraction of any size."""
+    if x.denominator == 1:
+        return to_decimal(x.numerator)
+    return f"{to_decimal(x.numerator)}/{to_decimal(x.denominator)}"

@@ -48,7 +48,7 @@ def m_plus(P: int, tables: StatTables) -> LaurentSeries:
     tables.require(nmax)
     cs = [Fraction(-1, 12)]
     for n in range(1, nmax + 1):
-        cs.append(tables.spt[n] + Fraction(24 * n - 1, 12) * tables.p[n])
+        cs.append(Fraction(12 * tables.spt[n] + (24 * n - 1) * tables.p[n], 12))
     return LaurentSeries(24, 23, -1, P, cs)
 
 
@@ -85,8 +85,8 @@ def hecke_t(f: LaurentSeries, ctx: HeckeContext) -> LaurentSeries:
 def m_ell(ctx: HeckeContext, P: int, tables: StatTables) -> LaurentSeries:
     """M_ell = M+ | T(ell^2) - (3|ell)(1+ell) M+, computed from the definition."""
     mp = m_plus(P * ctx.ell ** 2, tables)
-    image = hecke_t(mp, ctx)
-    return (image - mp.scale(ctx.eps3 * (1 + ctx.ell))).truncate(P)
+    # the image is known below P, so only M+ below P enters the difference
+    return hecke_t(mp, ctx) - mp.truncate(P).scale(ctx.eps3 * (1 + ctx.ell))
 
 
 def m_ell_closed_form(ctx: HeckeContext, P: int, tables: StatTables) -> LaurentSeries:

@@ -121,33 +121,14 @@ def spt_bruteforce(n: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A partition as a sorted tuple of positive parts."""
-
-    parts: tuple[int, ...]
-
-    def __init__(self, parts: Iterable[int]):
-        object.__setattr__(self, "parts", tuple(sorted(parts)))
-        if any(x < 1 for x in self.parts):
-            raise ValueError("parts must be positive integers")
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-
-def t_signed(partition: Partition | Iterable[int]) -> int:
-    """Signed triangular weight: sum of (-1)^(k-1) * k * m_k over the maximal
-    initial run 1..n of part sizes present; 0 when no part equals 1."""
-    parts = partition.parts if isinstance(partition, Partition) else tuple(partition)
-    mult: dict[int, int] = {}
-    for x in parts:
-        mult[x] = mult.get(x, 0) + 1
+def t_signed(parts: Sequence[int]) -> int:
+    """Signed triangular weight of a partition, its parts in any order: sum of
+    (-1)^(k-1) * k * m_k over the maximal initial run 1..n of part sizes
+    present; 0 when no part equals 1."""
     total = 0
     k = 1
-    while k in mult:
-        total += (k if k % 2 else -k) * mult[k]
+    while m := parts.count(k):
+        total += k * m if k % 2 else -k * m
         k += 1
     return total
 
@@ -156,7 +137,7 @@ def ts_sum_bruteforce(n: int) -> int:
     """Sum of the signed triangular weight over all partitions of n."""
     if n > _SPT_ENUM_GUARD:
         raise EnumerationLimit(f"partition enumeration guarded at n <= {_SPT_ENUM_GUARD}")
-    return sum(t_signed(parts) for parts in iter_partitions(n))
+    return sum(map(t_signed, iter_partitions(n)))
 
 
 def _distinct_partitions(total: int, maxpart: int) -> Iterator[list[int]]:
@@ -164,6 +145,8 @@ def _distinct_partitions(total: int, maxpart: int) -> Iterator[list[int]]:
         yield []
         return
     for first in range(min(total, maxpart), 0, -1):
+        if first * (first + 1) < 2 * total:
+            break  # distinct parts up to first sum to at most first(first+1)/2
         for rest in _distinct_partitions(total - first, first - 1):
             yield [first] + rest
 
@@ -178,13 +161,12 @@ def ustar_bruteforce(n: int) -> int:
     total = 0
     for peak in range(1, n + 1):
         rem = n - peak
-        for m1 in range(rem + 1):
-            before = list(_distinct_partitions(m1, peak - 1))
-            after = list(_distinct_partitions(rem - m1, peak - 1))
-            for asc in before:
-                for desc in after:
-                    rank = len(desc) - len(asc)
-                    total += 1 if rank % 2 == 0 else -1
+        # (-1)^rank = (-1)^len(asc) * (-1)^len(desc), so the sum over pairs of
+        # runs with sizes (t, rem - t) is S[t] * S[rem - t], where S[t] is the
+        # signed count of the distinct partitions of t with parts below peak
+        S = [sum(-1 if len(run) % 2 else 1 for run in _distinct_partitions(t, peak - 1))
+             for t in range(rem + 1)]
+        total += sum(S[t] * S[rem - t] for t in range(rem + 1))
     return total
 
 

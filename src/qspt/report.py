@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .arith import fraction_str
 from .errors import OutOfPrecision
 
 _ZERO = Fraction(0)
@@ -17,7 +18,8 @@ class Mismatch:
     rhs: Fraction
 
     def to_dict(self) -> dict:
-        return {"exponent": self.exponent, "lhs": str(self.lhs), "rhs": str(self.rhs)}
+        return {"exponent": self.exponent, "lhs": fraction_str(self.lhs),
+                "rhs": fraction_str(self.rhs)}
 
 
 @dataclass
@@ -69,7 +71,7 @@ class VerificationReport:
     def to_dict(self) -> dict:
         doc = {
             "check": self.check,
-            "parameters": {k: str(v) if isinstance(v, Fraction) else v
+            "parameters": {k: fraction_str(v) if isinstance(v, Fraction) else v
                            for k, v in self.parameters.items()},
             "window": list(self.window),
             "status": self.status,

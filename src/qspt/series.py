@@ -15,6 +15,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Iterator, Mapping
 
+from .arith import fraction_str, from_decimal, to_decimal
 from .errors import LeadingZero, OutOfPrecision
 from .report import VerificationReport
 
@@ -23,42 +24,12 @@ _ZERO = Fraction(0)
 # support-size product below which schoolbook convolution beats packing
 _SCHOOLBOOK_CUTOFF = 1 << 14
 
-# Decimal conversion goes in blocks of this many digits: int() and str() refuse
-# more digits than sys.get_int_max_str_digits() (4300 by default, 640 at least).
-_BLOCK_DIGITS = 512
-_BLOCK = 10 ** _BLOCK_DIGITS
-
 
 def _pp_count(val: int, prec: int, stride: int) -> int:
     """Number of progression points val, val+stride, ... below prec."""
     if prec <= val:
         return 0
     return -((val - prec) // stride)
-
-
-def _to_decimal(n: int) -> str:
-    """str(n) for an integer of any size."""
-    if -_BLOCK < n < _BLOCK:
-        return str(n)
-    sign, n = ("-", -n) if n < 0 else ("", n)
-    blocks = []
-    while n >= _BLOCK:
-        n, r = divmod(n, _BLOCK)
-        blocks.append(str(r).zfill(_BLOCK_DIGITS))
-    blocks.append(str(n))
-    return sign + "".join(reversed(blocks))
-
-
-def _from_decimal(s: str) -> int:
-    """int(s) for a decimal string of any length."""
-    if len(s) <= _BLOCK_DIGITS:
-        return int(s)
-    digits = s.lstrip("-")
-    head = len(digits) % _BLOCK_DIGITS or _BLOCK_DIGITS
-    n = int(digits[:head])
-    for i in range(head, len(digits), _BLOCK_DIGITS):
-        n = n * _BLOCK + int(digits[i:i + _BLOCK_DIGITS])
-    return -n if s.startswith("-") else n
 
 
 def convolve(a: list[int], b: list[int], n_out: int) -> list[int]:
@@ -234,7 +205,7 @@ class LaurentSeries:
         return VerificationReport(check="agrees_with").compare(self, other, lo, hi)
 
     def __repr__(self) -> str:
-        parts = [f"{c}*q^{e}" for e, c in list(self.terms())[:6]]
+        parts = [f"{fraction_str(c)}*q^{e}" for e, c in list(self.terms())[:6]]
         if len(self.coeffs) > 6:
             parts.append("...")
         body = " + ".join(parts) if parts else "0"
@@ -420,7 +391,7 @@ class LaurentSeries:
             "offset": self.offset,
             "valuation": self.valuation,
             "precision": self.precision,
-            "coefficients": [[_to_decimal(c.numerator), _to_decimal(c.denominator)]
+            "coefficients": [[to_decimal(c.numerator), to_decimal(c.denominator)]
                              for c in self._window_coeffs()],
         }
 
@@ -437,7 +408,7 @@ class LaurentSeries:
         pairs = doc["coefficients"]
         if precision is not None:
             pairs = pairs[:_pp_count(doc["valuation"], precision, doc["stride"])]
-        cs = [Fraction(_from_decimal(num), _from_decimal(den)) for num, den in pairs]
+        cs = [Fraction(from_decimal(num), from_decimal(den)) for num, den in pairs]
         series = cls(doc["stride"], doc["offset"], doc["valuation"], doc["precision"], cs)
         return series if precision is None else series.truncate(precision)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qspt.arith import chi12, is_prime, legendre
+from qspt.arith import is_prime, legendre
 from qspt.errors import BadModulus
 
 
@@ -35,8 +35,3 @@ def test_legendre_bad_modulus():
         with pytest.raises(BadModulus):
             legendre(3, p)
 
-
-def test_chi12():
-    assert [chi12(m) for m in range(12)] == [0, 1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 1]
-    assert chi12(-1) == 1
-    assert chi12(-5) == -1

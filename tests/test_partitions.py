@@ -1,10 +1,12 @@
 """Partition statistics, enumeration oracles, and the coefficient formulas."""
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 from operator import add
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qspt import partitions as pt
 from qspt.errors import EnumerationLimit, TableTooSmall
@@ -74,12 +76,35 @@ def test_a_table_values():
 def test_t_signed_examples():
     # weight is the alternating sum (+1)m_1 (-2)m_2 (+3)m_3 ... over the
     # maximal initial run of part sizes, zero when 1 is absent
-    assert pt.t_signed(pt.Partition([1])) == 1
-    assert pt.t_signed(pt.Partition([2])) == 0
-    assert pt.t_signed(pt.Partition([1, 1])) == 2
-    assert pt.t_signed(pt.Partition([2, 1])) == -1
-    assert pt.t_signed(pt.Partition([3, 2, 1, 1])) == 3
+    assert pt.t_signed([1]) == 1
+    assert pt.t_signed([2]) == 0
+    assert pt.t_signed([1, 1]) == 2
+    assert pt.t_signed([2, 1]) == -1
+    assert pt.t_signed([3, 2, 1, 1]) == 3
+    assert pt.t_signed([1, 3, 2, 1]) == 3
     assert pt.t_signed([1, 3]) == 1
+
+
+def _t_signed_by_dict(parts):
+    """The signed triangular weight read off a multiplicity dict: the reference
+    for t_signed."""
+    mult = {}
+    for x in parts:
+        mult[x] = mult.get(x, 0) + 1
+    total = 0
+    k = 1
+    while k in mult:
+        total += (k if k % 2 else -k) * mult[k]
+        k += 1
+    return total
+
+
+@given(st.lists(st.integers(1, 8), max_size=30), st.randoms(use_true_random=False))
+def test_t_signed_matches_multiplicity_definition(parts, rng):
+    assert pt.t_signed(parts) == _t_signed_by_dict(parts)
+    shuffled = list(parts)
+    rng.shuffle(shuffled)
+    assert pt.t_signed(shuffled) == pt.t_signed(parts)
 
 
 def test_ts_sum_matches_a_table():
@@ -95,6 +120,35 @@ def test_ustar_values(tables):
 def test_ustar_bruteforce_matches(tables):
     for n in range(1, 19):
         assert pt.ustar_bruteforce(n) == tables.ustar[n]
+
+
+def _ustar_by_pairs(n):
+    """u*(n) summed over every (ascending run, descending run) pair: the reference
+    for ustar_bruteforce."""
+    total = 0
+    for peak in range(1, n + 1):
+        rem = n - peak
+        for m1 in range(rem + 1):
+            before = list(pt._distinct_partitions(m1, peak - 1))
+            after = list(pt._distinct_partitions(rem - m1, peak - 1))
+            for asc in before:
+                for desc in after:
+                    rank = len(desc) - len(asc)
+                    total += 1 if rank % 2 == 0 else -1
+    return total
+
+
+def test_distinct_partitions_are_every_set_of_distinct_parts():
+    for maxpart in range(9):
+        for total in range(40):
+            want = sorted(c[::-1] for r in range(maxpart + 1)
+                          for c in combinations(range(1, maxpart + 1), r) if sum(c) == total)
+            assert sorted(map(tuple, pt._distinct_partitions(total, maxpart))) == want
+
+
+def test_ustar_bruteforce_matches_pair_loop():
+    for n in range(0, 19):
+        assert pt.ustar_bruteforce(n) == _ustar_by_pairs(n)
 
 
 def test_ustar_matches_unimodal_rank_series(tables):

@@ -239,6 +239,13 @@ def test_json_round_trip_past_the_digit_limit():
     assert LaurentSeries.from_json_dict(doc) == nines
 
 
+def test_repr_past_the_digit_limit():
+    assert repr(LaurentSeries(1, 0, 0, 2, [10 ** 5000])) == (
+        "<LaurentSeries 1" + "0" * 5000 + "*q^0 + O(q^2)>")
+    assert repr(LaurentSeries(24, 23, -1, 48, [Fraction(-1, 12), Fraction(35, 12)])) == (
+        "<LaurentSeries -1/12*q^-1 + 35/12*q^23 + O(q^48)>")
+
+
 def test_json_load_below_a_precision_equals_truncation():
     f = LaurentSeries(24, 23, -1, 120, [Fraction(-1, 12), Fraction(35, 12), 0, 7, 0])
     doc = f.to_json_dict("sample")

@@ -1,5 +1,6 @@
 """Verification drivers produce structured reports that pass on honest inputs."""
 
+from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -19,6 +20,17 @@ def test_report_status():
     doc = rep.to_dict()
     assert doc["status"] == "fail"
     assert doc["mismatches"][0] == {"exponent": 4, "lhs": "1", "rhs": "2"}
+
+
+def test_report_past_the_digit_limit():
+    # 5,000 decimal digits: more than str() accepts by default
+    rep = VerificationReport(check="demo", parameters={"c": Fraction(-7, 10 ** 5000)})
+    rep.record(0, 10 ** 5000, 0)
+    rep.record(1, Fraction(-1, 12), Fraction(5, 3))
+    doc = rep.to_dict()
+    assert doc["parameters"]["c"] == "-7/1" + "0" * 5000
+    assert doc["mismatches"][0] == {"exponent": 0, "lhs": "1" + "0" * 5000, "rhs": "0"}
+    assert doc["mismatches"][1] == {"exponent": 1, "lhs": "-1/12", "rhs": "5/3"}
 
 
 def test_compare_records_every_exponent_and_tags():
