@@ -8,8 +8,6 @@ from fractions import Fraction
 from .partitions import p_table, pentagonal_terms
 from .series import LaurentSeries
 
-_PAD = 8  # internal slack so quotient constructions deliver the full request
-
 
 def euler_series(P: int) -> LaurentSeries:
     """(q;q)_inf by the pentagonal number theorem, truncated below P."""
@@ -64,21 +62,22 @@ def delta_series(P: int) -> LaurentSeries:
 
 def j_series(P: int) -> LaurentSeries:
     """j = E4^3 / Delta = q^-1 + 744 + 196884 q + ..."""
-    q = P + _PAD
-    return (eisenstein_e4(q).pow(3) / delta_series(q)).truncate(P)
+    # a quotient by Delta, of valuation 1, is known 2 exponents short of its inputs
+    q = P + 2
+    return eisenstein_e4(q).pow(3) / delta_series(q)
 
 
 def jprime_neg_series(P: int) -> LaurentSeries:
     """-q dj/dq = E4^2 E6 / Delta = q^-1 - sum n c(n) q^n."""
-    q = P + _PAD
-    f = eisenstein_e4(q).pow(2) * eisenstein_e6(q) / delta_series(q)
-    return f.truncate(P)
+    # a quotient by Delta, of valuation 1, is known 2 exponents short of its inputs
+    q = P + 2
+    return eisenstein_e4(q).pow(2) * eisenstein_e6(q) / delta_series(q)
 
 
 def alpha_series(P: int) -> LaurentSeries:
     """alpha = (q;q)_inf / (-q dj/dq) = q + O(q^2)."""
-    q = P + _PAD
-    return (euler_series(q) / jprime_neg_series(q)).truncate(P)
+    # a quotient by -q dj/dq, of valuation -1, loses no precision: it is known to P + 1
+    return (euler_series(P) / jprime_neg_series(P)).truncate(P)
 
 
 _CONSTRUCTORS = {

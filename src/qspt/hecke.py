@@ -10,7 +10,7 @@ from fractions import Fraction
 from . import forms, jbasis
 from .arith import is_prime, legendre
 from .errors import BadModulus, BadSupport
-from .partitions import StatTables
+from .partitions import StatTables, mplus_weight
 from .report import VerificationReport
 from .series import LaurentSeries
 
@@ -48,7 +48,7 @@ def m_plus(P: int, tables: StatTables) -> LaurentSeries:
     tables.require(nmax)
     cs = [Fraction(-1, 12)]
     for n in range(1, nmax + 1):
-        cs.append(Fraction(12 * tables.spt[n] + (24 * n - 1) * tables.p[n], 12))
+        cs.append(Fraction(mplus_weight(tables, n), 12))
     return LaurentSeries(24, 23, -1, P, cs)
 
 
@@ -94,12 +94,6 @@ def m_ell_closed_form(ctx: HeckeContext, P: int, tables: StatTables) -> LaurentS
     built as (ell/12) P(q) r_ell(q)."""
     pgen = forms.partition_gen24(P + 24 * ctx.delta_ell + 48)
     return (pgen * r_ell_series(ctx, P + 24)).scale(Fraction(ctx.ell, 12)).truncate(P)
-
-
-def thm11_rhs(ctx: HeckeContext, P: int, tables: StatTables) -> LaurentSeries:
-    """(3|ell)(1+ell) M+ + closed form: the stated right-hand side for M+ | T(ell^2)."""
-    mp = m_plus(P, tables)
-    return (mp.scale(ctx.eps3 * (1 + ctx.ell)) + m_ell_closed_form(ctx, P, tables)).truncate(P)
 
 
 def r_ell_series(ctx: HeckeContext, P: int) -> LaurentSeries:

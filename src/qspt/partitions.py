@@ -18,7 +18,6 @@ from typing import Iterable, Iterator, Sequence
 from .arith import legendre
 from .errors import EnumerationLimit, TableTooSmall, UnknownCheck
 from .report import VerificationReport
-from .series import convolve
 
 _SPT_ENUM_GUARD = 60
 _UNIMODAL_ENUM_GUARD = 40
@@ -38,46 +37,48 @@ def pentagonal_terms(limit: int) -> list[tuple[int, int]]:
     return out
 
 
-def p_table(N: int) -> list[int]:
-    """p(0..N) by the Euler pentagonal recurrence."""
-    p = [0] * (N + 1)
-    p[0] = 1
-    pents = [(g, s) for g, s in pentagonal_terms(N + 1) if g > 0]
-    for n in range(1, N + 1):
-        acc = 0
-        for g, s in pents:
-            if g > n:
-                break
-            acc -= s * p[n - g]
-        p[n] = acc
-    return p
-
-
-def _over_euler(p: list[int], kernel: Iterable[tuple[int, int]]) -> list[int]:
-    """Coefficients 0..N of P(q) = 1/(q;q)_inf, given as p = p(0..N), times
-    the sparse series sum w q^e over the (e, w) pairs of kernel (0 <= e <= N)."""
-    inner = [0] * len(p)
+def _over_euler(N: int, kernel: Iterable[tuple[int, int]]) -> list[int]:
+    """x(0..N) solving (q;q)_inf X = sum w q^e over the (e, w) pairs of kernel
+    (0 <= e <= N), i.e. P(q) times that sparse series, by the recurrence
+    x[n] = kernel[n] - sum_{0 < g <= n} s_g x[n - g] over the terms s_g q^g
+    of (q;q)_inf."""
+    x = [0] * (N + 1)
     for e, w in kernel:
-        inner[e] += w
-    return convolve(p, inner, len(p))
+        x[e] += w
+    # the g with s_g = -1 add, the others subtract; each g joins when n reaches it
+    add, sub = [], []
+    pents = [(g, s) for g, s in pentagonal_terms(N + 1) if g > 0] + [(N + 1, 0)]
+    for (g, s), (end, _) in zip(pents, pents[1:]):
+        (add if s < 0 else sub).append(g)
+        for n in range(g, end):
+            acc = x[n]
+            for h in add:
+                acc += x[n - h]
+            for h in sub:
+                acc -= x[n - h]
+            x[n] = acc
+    return x
 
 
-def spt_table(p: list[int]) -> list[int]:
-    """spt(0..N) from the column p = p(0..N) by Andrews' identity: P(q) times
+def p_table(N: int) -> list[int]:
+    """p(0..N): P(q) = 1/(q;q)_inf by the Euler pentagonal recurrence."""
+    return _over_euler(N, [(0, 1)])
+
+
+def spt_table(N: int) -> list[int]:
+    """spt(0..N) by Andrews' identity: P(q) times
     sum sigma(n) q^n + sum_{n>=1} (-1)^n q^(n(3n+1)/2) (1+q^n)/(1-q^n)^2."""
-    N = len(p) - 1
     sigma = ((e, d) for d in range(1, N + 1) for e in range(d, N + 1, d))
     # (1+x)/(1-x)^2 = sum_k (2k+1) x^k
     pentagonal = ((e, (-1) ** n * (2 * k + 1)) for n in range(1, N + 1)
                   for k, e in enumerate(range(n * (3 * n + 1) // 2, N + 1, n)))
-    return _over_euler(p, chain(sigma, pentagonal))
+    return _over_euler(N, chain(sigma, pentagonal))
 
 
-def a_table(p: list[int]) -> list[int]:
-    """a(0..N) from the column p = p(0..N): coefficients of
+def a_table(N: int) -> list[int]:
+    """a(0..N): coefficients of
     (1/(q;q)_inf) * sum_n (-1)^(n-1) n q^(n(n+1)/2)/(1-q^n)."""
-    N = len(p) - 1
-    return _over_euler(p, ((e, (-1) ** (n - 1) * n) for n in range(1, N + 1)
+    return _over_euler(N, ((e, (-1) ** (n - 1) * n) for n in range(1, N + 1)
                            for e in range(n * (n + 1) // 2, N + 1, n)))
 
 
@@ -186,8 +187,8 @@ class StatTables:
     @classmethod
     def build(cls, N: int) -> "StatTables":
         p = p_table(N)
-        spt = spt_table(p)
-        a = a_table(p)
+        spt = spt_table(N)
+        a = a_table(N)
         ustar = [-s + 2 * x for s, x in zip(spt, a)]
         return cls(N, tuple(p), tuple(spt), tuple(a), tuple(ustar))
 
@@ -229,31 +230,30 @@ def mu(n: int) -> int:
     return 6 - legendre(1 - 24 * n, 5)
 
 
-def h1(m: int, tables: StatTables, spt: Sequence[int] | None = None) -> Fraction:
+def mplus_weight(tables: StatTables, k: int) -> int:
+    """12 spt(k) + (24k-1) p(k): twelve times the coefficient of q^(24k-1) in M+."""
+    return 12 * tables.spt[k] + (24 * k - 1) * tables.p[k]
+
+
+def h1(m: int, tables: StatTables) -> Fraction:
     """Weight attached to exponent m = 24n-1 in the T(25) expansion of M+.
 
     The coefficient on p(n) in the mu_n term is (24n-1)/5, which is what the
-    c(1) and c(2) decompositions force. spt defaults to tables.spt; pass
-    2a - u* for the Corollary 1.5 form."""
+    c(1) and c(2) decompositions force."""
     if m <= 0 or m % 24 != 23:
         return Fraction(0)
-    spt = tables.spt if spt is None else spt
     n = (m + 1) // 24
     tables.require(25 * n - 1)
-    return (Fraction(12, 5) * spt[25 * n - 1]
-            + 5 * (24 * n - 1) * tables.p[25 * n - 1]
-            + mu(n) * (Fraction(12, 5) * spt[n]
-                       + Fraction(24 * n - 1, 5) * tables.p[n]))
+    return Fraction(mplus_weight(tables, 25 * n - 1) + mu(n) * mplus_weight(tables, n), 5)
 
 
-def h2(m: int, tables: StatTables, spt: Sequence[int] | None = None) -> Fraction:
+def h2(m: int, tables: StatTables) -> Fraction:
     """Weight attached to exponent m = 25(24n-1); zero off that support."""
     if m <= 0 or m % 24 != 23 or m % 25 != 0:
         return Fraction(0)
-    spt = tables.spt if spt is None else spt
     n = (m // 25 + 1) // 24
     tables.require(25 * n - 1)
-    return Fraction(12 * spt[n] + (24 * n - 1) * tables.p[n])
+    return Fraction(mplus_weight(tables, n))
 
 
 def _pentagonal_k_range(n: int) -> list[int]:
@@ -270,13 +270,13 @@ def _pentagonal_k_range(n: int) -> list[int]:
     return ks
 
 
-def c_formula(n: int, tables: StatTables, spt: Sequence[int] | None = None) -> Fraction:
+def c_formula(n: int, tables: StatTables) -> Fraction:
     """c(n) from partition statistics: (s(n) + sum_k (-1)^k [h1+h2](24n-(6k+1)^2))/n."""
     total = Fraction(s_fn(n))
     for k in _pentagonal_k_range(n):
         arg = 24 * n - (6 * k + 1) ** 2
         sign = -1 if k % 2 else 1
-        total += sign * (h1(arg, tables, spt) + h2(arg, tables, spt))
+        total += sign * (h1(arg, tables) + h2(arg, tables))
     return total / n
 
 

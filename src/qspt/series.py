@@ -341,8 +341,9 @@ class LaurentSeries:
         if k < 0:
             return self.invert().pow(-k)
         if k == 0:
+            # 1 + O(q^prec); a zero series (valuation = precision) does not know the 1
             prec = self.precision - self.valuation
-            return LaurentSeries(self.stride, 0, 0, prec, [Fraction(1)])
+            return LaurentSeries(self.stride, 0, 0, prec, [Fraction(1)] if prec > 0 else [])
         result = None
         base = self
         while k:

@@ -3,6 +3,7 @@ each returning a VerificationReport."""
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from fractions import Fraction
 
@@ -55,9 +56,9 @@ def verify_cor1_5(tables: StatTables, max_n: int = 20) -> VerificationReport:
     rep = VerificationReport(check="cor1_5", parameters={"max_n": max_n},
                              window=(1, max_n + 1))
     j = forms.j_series(max_n + 1)
-    spt = partitions.spt_from_ustar(tables)
+    via_ustar = dataclasses.replace(tables, spt=tuple(partitions.spt_from_ustar(tables)))
     for n in range(1, max_n + 1):
-        cg = partitions.c_formula(n, tables, spt)
+        cg = partitions.c_formula(n, via_ustar)
         rep.record(n, cg, j.coeff(n))
         rep.record(n, cg, partitions.c_formula(n, tables))
     rep.details.extend(partitions.c1_c2_decompositions(tables))

@@ -2,6 +2,10 @@
 
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from qspt import forms
 
 
@@ -82,3 +86,12 @@ def test_constructors_return_requested_precision():
     for name, build in forms._CONSTRUCTORS.items():
         for P in (1, 2, 30):
             assert build(P).precision == P, (name, P)
+
+
+@pytest.mark.parametrize("name", sorted(forms._CONSTRUCTORS))
+@settings(deadline=None, max_examples=25)
+@given(st.integers(1, 60), st.integers(1, 5))
+def test_constructors_agree_across_precisions(name, P, k):
+    # built to P + k and truncated to P, a series equals the one built to P
+    build = forms._CONSTRUCTORS[name]
+    assert build(P + k).truncate(P) == build(P)

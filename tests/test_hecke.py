@@ -89,14 +89,6 @@ def test_closed_form_matches_definition_small(tables):
         assert rep.passed, rep.mismatches[:3]
 
 
-def test_thm11_rhs_equals_hecke_image(tables):
-    ctx = HeckeContext(5)
-    mp = hecke.m_plus(240 * 25, tables)
-    image = hecke.hecke_t(mp, ctx)
-    rhs = hecke.thm11_rhs(ctx, 240, tables)
-    assert image.truncate(240).agrees_with(rhs)
-
-
 def test_r_ell_series(tables):
     ctx = HeckeContext(5)
     r = hecke.r_ell_series(ctx, 120)

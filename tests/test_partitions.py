@@ -1,5 +1,6 @@
 """Partition statistics, enumeration oracles, and the coefficient formulas."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate, combinations
 from operator import add
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from qspt import partitions as pt
 from qspt.errors import EnumerationLimit, TableTooSmall
+from qspt.series import convolve
 
 
 def test_p_table_values():
@@ -20,14 +22,41 @@ def test_p_table_values():
 
 
 def test_spt_table_values():
-    s = pt.spt_table(pt.p_table(49))
+    s = pt.spt_table(49)
     assert s[1:7] == [1, 3, 5, 10, 14, 26]
     assert s[24] == 6545
     assert s[49] == 1002435
 
 
+def _p_by_parts(N):
+    """p(0..N) by admitting one part size at a time: the reference for P(q)."""
+    p = [1] + [0] * N
+    for part in range(1, N + 1):
+        for n in range(part, N + 1):
+            p[n] += p[n - part]
+    return p
+
+
+@st.composite
+def sparse_kernels(draw):
+    N = draw(st.integers(0, 300))
+    exponents = st.one_of(st.sampled_from((0, N)), st.integers(0, N))
+    return N, draw(st.lists(st.tuples(exponents, st.integers(-10 ** 6, 10 ** 6)),
+                            max_size=20))
+
+
+@given(sparse_kernels())
+def test_over_euler_is_p_times_the_kernel(case):
+    # the recurrence against the product it replaced
+    N, kernel = case
+    dense = [0] * (N + 1)
+    for e, w in kernel:
+        dense[e] += w
+    assert pt._over_euler(N, kernel) == convolve(_p_by_parts(N), dense, N + 1)
+
+
 def test_spt_bruteforce_matches_table():
-    s = pt.spt_table(pt.p_table(40))
+    s = pt.spt_table(40)
     for n in range(1, 41):
         assert pt.spt_bruteforce(n) == s[n]
 
@@ -69,7 +98,7 @@ def test_iter_partitions_counts():
 
 
 def test_a_table_values():
-    a = pt.a_table(pt.p_table(6))
+    a = pt.a_table(6)
     assert a[1:7] == [1, 2, 2, 5, 6, 14]
 
 
@@ -108,7 +137,7 @@ def test_t_signed_matches_multiplicity_definition(parts, rng):
 
 
 def test_ts_sum_matches_a_table():
-    a = pt.a_table(pt.p_table(25))
+    a = pt.a_table(25)
     for n in range(1, 26):
         assert pt.ts_sum_bruteforce(n) == a[n]
 
@@ -208,18 +237,19 @@ def test_g_matches_h(tables):
     # the Corollary 1.5 weights: h1, h2 on the column 2a - u*
     col = pt.spt_from_ustar(tables)
     assert col == list(tables.spt)
+    via_ustar = replace(tables, spt=tuple(col))
     for m in (23, 47, 71, 95, 119, 575):
-        assert pt.h1(m, tables, col) == pt.h1(m, tables)
-        assert pt.h2(m, tables, col) == pt.h2(m, tables)
+        assert pt.h1(m, via_ustar) == pt.h1(m, tables)
+        assert pt.h2(m, via_ustar) == pt.h2(m, tables)
 
 
 def test_c_formula_first_coefficients(tables):
     assert pt.c_formula(1, tables) == 196884
     assert pt.c_formula(2, tables) == 21493760
     assert pt.c_formula(3, tables) == 864299970
-    col = pt.spt_from_ustar(tables)
+    via_ustar = replace(tables, spt=tuple(pt.spt_from_ustar(tables)))
     for n in range(1, 11):
-        assert pt.c_formula(n, tables, col) == pt.c_formula(n, tables)
+        assert pt.c_formula(n, via_ustar) == pt.c_formula(n, tables)
 
 
 def test_c1_c2_decompositions(tables):

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qspt.errors import LeadingZero, OutOfPrecision
@@ -186,6 +186,25 @@ def test_division_is_precision_honest(f, g, k):
         return
     short = fk / gk
     assert (f / g).truncate(short.precision).to_json_dict("h") == short.to_json_dict("h")
+
+
+@settings(deadline=None)
+@pytest.mark.parametrize("op", [
+    lambda f, g, m: f + g,
+    lambda f, g, m: f * g,
+    lambda f, g, m: f.pow(m),
+    lambda f, g, m: f.q_derive(),
+    lambda f, g, m: f.stride_expand(abs(m) + 1),
+], ids=["add", "mul", "pow", "q_derive", "stride_expand"])
+@given(series(), series(leads=LEADS + (0,)), st.integers(1, 3), st.integers(-2, 4))
+def test_operations_are_precision_honest(op, f, g, k, m):
+    # the result of the longer inputs, truncated to the precision of the
+    # result of the shorter ones, equals it
+    fk = f.truncate(f.precision - k * f.stride)
+    gk = g.truncate(g.precision - k * g.stride)
+    assume(m >= 0 or not fk.is_zero())
+    short = op(fk, gk, m)
+    assert op(f, g, m).truncate(short.precision).to_json_dict("h") == short.to_json_dict("h")
 
 
 @given(series(leads=LEADS + (0,)), st.sampled_from((1, 2, 24)), st.integers(-5, 20))
