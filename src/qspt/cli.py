@@ -52,7 +52,10 @@ def _cache_lookup(name: str, precision: int) -> LaurentSeries | None:
                 best = prec
     if best is None:
         return None
-    _, series = LaurentSeries.load(os.path.join(d, prefix + f"{best}.json"), precision)
+    stored, series = LaurentSeries.load(os.path.join(d, prefix + f"{best}.json"), precision)
+    # a file holding another series, or too few coefficients for the request, is a miss
+    if stored != name or series.precision < precision:
+        return None
     return series
 
 

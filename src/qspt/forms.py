@@ -75,9 +75,9 @@ def jprime_neg_series(P: int) -> LaurentSeries:
 
 
 def alpha_series(P: int) -> LaurentSeries:
-    """alpha = (q;q)_inf / (-q dj/dq) = q + O(q^2)."""
-    # a quotient by -q dj/dq, of valuation -1, loses no precision: it is known to P + 1
-    return (euler_series(P) / jprime_neg_series(P)).truncate(P)
+    """alpha = (q;q)_inf / (-q dj/dq) = (q;q)_inf Delta / (E4^2 E6) = q + O(q^2)."""
+    # one division, by a divisor of valuation 0 that loses no precision
+    return euler_series(P) * delta_series(P) / (eisenstein_e4(P).pow(2) * eisenstein_e6(P))
 
 
 _CONSTRUCTORS = {

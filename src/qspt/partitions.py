@@ -135,10 +135,54 @@ def t_signed(parts: Sequence[int]) -> int:
 
 
 def ts_sum_bruteforce(n: int) -> int:
-    """Sum of the signed triangular weight over all partitions of n."""
+    """Sum of the signed triangular weight over all partitions of n.
+
+    The accelAsc walk of iter_partitions, building no part list: each prefix
+    a[:i] keeps its run state, so each partition adds its weight in O(1).
+    Parts come in ascending order, so once a prefix skips a size its run stays
+    broken and its weight stays fixed."""
     if n > _SPT_ENUM_GUARD:
         raise EnumerationLimit(f"partition enumeration guarded at n <= {_SPT_ENUM_GUARD}")
-    return sum(map(t_signed, iter_partitions(n)))
+    a = [0] * (n + 1)
+    # run[i]: the largest part L while a[:i] has exactly the part sizes 1..L,
+    # -1 (which matches no part) once that run is broken; wt[i]: the signed
+    # weight of a[:i]
+    run = [0] * (n + 1)
+    wt = [0] * (n + 1)
+    total = 0
+    k = 1
+    y = n - 1
+    while k != 0:
+        x = a[k - 1] + 1
+        k -= 1
+        L = run[k]
+        w = wt[k]
+        while 2 * x <= y:
+            a[k] = x
+            if x == L or x == L + 1:
+                L = x
+                w += x if x & 1 else -x
+            else:
+                L = -1
+            y -= x
+            k += 1
+            run[k] = L
+            wt[k] = w
+        while x <= y:  # the partition a[:k] + [x, y]
+            if x == L or x == L + 1:
+                t = w + (x if x & 1 else -x)
+                if y - x <= 1:
+                    t += y if y & 1 else -y
+                total += t
+            else:
+                total += w
+            x += 1
+            y -= 1
+        v = x + y  # the partition a[:k] + [v], v above every part of a[:k]
+        total += w + (v if v & 1 else -v) if v == L + 1 else w
+        a[k] = v
+        y = v - 1
+    return total
 
 
 def _distinct_partitions(total: int, maxpart: int) -> Iterator[list[int]]:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qspt import cli
+from qspt import cli, forms
 from qspt.series import LaurentSeries
 
 
@@ -40,7 +40,6 @@ def test_series_out_file_round_trip(capsys, tmp_path):
     assert code == 0
     name, series = LaurentSeries.load(path)
     assert name == "delta"
-    from qspt import forms
     assert series == forms.delta_series(10)
 
 
@@ -55,6 +54,17 @@ def test_cache_reuse_is_byte_identical(capsys, tmp_path):
     doc = json.loads(truncated)
     assert doc["precision"] == 8
     assert doc["coefficients"] == json.loads(first)["coefficients"][:8]
+
+
+@pytest.mark.parametrize("name, prec", [("e6", 600), ("e4", 10)], ids=["other-name", "short"])
+def test_cache_misses_on_a_stale_file(tmp_path, name, prec):
+    # a file named e4__600.json must hold e4 to 600 before it answers for e4
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    forms._CONSTRUCTORS[name](prec).dump(cache / "e4__600.json", name)
+    assert cli._cache_lookup("e4", 100) is None
+    assert cli.build_series("e4", 100) == forms.eisenstein_e4(100)
+    assert cli._cache_lookup("e4", 100) == forms.eisenstein_e4(100)
 
 
 def test_series_eta24_precision_one(capsys):
@@ -153,6 +163,12 @@ def test_verify_perturbed_tables_exit_one(capsys, monkeypatch, perturbed):
     doc = json.loads(out)
     assert doc["status"] == "fail"
     assert [m["exponent"] for m in doc["mismatches"]] == [1, 2, 3, 6, 8, 13, 16]
+
+
+def test_verify_thm1_3_enumeration_guard_exit_two(capsys):
+    code, out, err = run(capsys, "verify", "thm1_3", "--max-n", "61")
+    assert (code, out) == (2, "")
+    assert err == "error: partition enumeration guarded at n <= 60\n"
 
 
 def test_verify_thm1_1_small_window(capsys):

@@ -137,9 +137,25 @@ def test_t_signed_matches_multiplicity_definition(parts, rng):
 
 
 def test_ts_sum_matches_a_table():
-    a = pt.a_table(25)
-    for n in range(1, 26):
+    a = pt.a_table(45)
+    for n in range(1, 46):
         assert pt.ts_sum_bruteforce(n) == a[n]
+
+
+def _ts_sum_by_lists(n):
+    """The signed triangular weight summed over the part lists of n: the
+    reference for the walk in ts_sum_bruteforce."""
+    return sum(map(pt.t_signed, pt.iter_partitions(n)))
+
+
+def test_ts_sum_matches_part_list_sum():
+    for n in range(0, 31):
+        assert pt.ts_sum_bruteforce(n) == _ts_sum_by_lists(n)
+
+
+def test_ts_sum_enumeration_guard():
+    with pytest.raises(EnumerationLimit):
+        pt.ts_sum_bruteforce(61)
 
 
 def test_ustar_values(tables):
