@@ -15,21 +15,13 @@ import tempfile
 from . import forms, hecke, partitions, verify
 from .errors import QsptError, UnknownCheck, UnknownSeries
 from .hecke import HeckeContext
-from .partitions import StatTables
 from .series import LaurentSeries
 
 _DEFAULT_WINDOWS = {5: 4800, 7: 2400, 11: 1200}
 _DEFAULT_MAX_N = {"thm1_2": 20, "thm1_3": 40, "eq17": 30, "cor1_4": 200, "cor1_5": 20,
                   "congruences": 200}
-
-_tables_cache: StatTables | None = None
-
-
-def _tables(n: int) -> StatTables:
-    global _tables_cache
-    if _tables_cache is None or _tables_cache.limit < n:
-        _tables_cache = StatTables.build(n)
-    return _tables_cache
+_VERIFIERS = {"thm1_2": verify.verify_thm1_2, "thm1_3": verify.verify_thm1_3,
+              "eq17": verify.verify_eq17, "cor1_5": verify.verify_cor1_5}
 
 
 def cache_dir() -> str:
@@ -52,7 +44,10 @@ def _cache_lookup(name: str, precision: int) -> LaurentSeries | None:
                 best = prec
     if best is None:
         return None
-    stored, series = LaurentSeries.load(os.path.join(d, prefix + f"{best}.json"), precision)
+    try:
+        stored, series = LaurentSeries.load(os.path.join(d, prefix + f"{best}.json"), precision)
+    except (ValueError, KeyError, TypeError):  # not a series document
+        return None
     # a file holding another series, or too few coefficients for the request, is a miss
     if stored != name or series.precision < precision:
         return None
@@ -77,12 +72,12 @@ def build_series(name: str, precision: int) -> LaurentSeries:
     if name in forms._CONSTRUCTORS:
         build = forms._CONSTRUCTORS[name]
     elif name == "mplus":
-        build = lambda prec: hecke.m_plus(prec, _tables(prec // 24 + 1))
+        build = hecke.m_plus
     elif name == "spt_gen24":
-        build = lambda prec: hecke.spt_gen24(prec, _tables(prec // 24 + 1))
+        build = hecke.spt_gen24
     elif kind == "m_ell" and ell.isdecimal():
         ctx = HeckeContext(int(ell))
-        build = lambda prec: hecke.m_ell(ctx, prec, _tables(prec * ctx.ell ** 2 // 24 + 1))
+        build = lambda prec: hecke.m_ell(ctx, prec)
     elif kind == "r_ell" and ell.isdecimal():
         ctx = HeckeContext(int(ell))
         build = lambda prec: hecke.r_ell_series(ctx, prec)
@@ -116,11 +111,10 @@ def cmd_table(args) -> int:
     if name == "s":
         values = [(n, partitions.s_fn(n)) for n in range(1, max_n + 1)]
     elif name == "c_formula":
-        t = _tables(25 * max_n - 1)
+        t = partitions.c_formula_tables(max_n)
         values = [(n, partitions.c_formula(n, t)) for n in range(1, max_n + 1)]
     else:
-        t = _tables(max_n)
-        col = getattr(t, name)
+        col = getattr(partitions.stat_tables(max_n), name)
         values = [(n, col[n]) for n in range(1, max_n + 1)]
     if args.format == "json":
         doc = json.dumps([{"n": n, "value": str(v)} for n, v in values])
@@ -136,28 +130,22 @@ def cmd_table(args) -> int:
 
 def run_check(check: str, *, ell: int = 5, m: int = 1, max_n: int | None = None,
               window: int | None = None, sign: str = "plus"):
-    """Dispatch one verification and return its report.
-
-    Each check sizes the shared tables from the largest index it reads."""
+    """Dispatch one verification and return its report; each check fetches
+    the tables it reads from partitions.stat_tables."""
     if check in ("thm1_1", "eq9_mod_ell"):
         ctx = HeckeContext(ell)
         window = window or _DEFAULT_WINDOWS.get(ell, 1200)
         verifier = hecke.verify_thm11 if check == "thm1_1" else hecke.verify_mod_ell
-        return verifier(ctx, window, _tables(window * ell ** 2 // 24 + 1))
+        return verifier(ctx, window)
     if check == "internal_identities":
         return verify.verify_internal_identities()
     if check not in _DEFAULT_MAX_N:
         raise UnknownCheck(f"unknown check {check!r}")
     max_n = max_n or _DEFAULT_MAX_N[check]
-    if check in ("thm1_2", "cor1_5"):
-        verifier = verify.verify_thm1_2 if check == "thm1_2" else verify.verify_cor1_5
-        return verifier(_tables(25 * max_n - 1), max_n)
-    if check in ("thm1_3", "eq17"):
-        verifier = verify.verify_thm1_3 if check == "thm1_3" else verify.verify_eq17
-        return verifier(_tables(max_n), max_n)
+    if check in _VERIFIERS:
+        return _VERIFIERS[check](max_n)
     family = "all" if check == "congruences" else check
-    t = _tables(partitions.congruence_rows(family, max_n, ell, m))
-    return partitions.check_congruences(family, t, max_n=max_n, ell=ell, m=m, sign=sign)
+    return partitions.check_congruences(family, max_n, ell=ell, m=m, sign=sign)
 
 
 def cmd_verify(args) -> int:

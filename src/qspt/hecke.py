@@ -10,7 +10,7 @@ from fractions import Fraction
 from . import forms, jbasis
 from .arith import is_prime, legendre
 from .errors import BadModulus, BadSupport
-from .partitions import StatTables, mplus_weight
+from .partitions import mplus_weight, stat_tables
 from .report import VerificationReport
 from .series import LaurentSeries
 
@@ -34,18 +34,17 @@ class HeckeContext:
         return legendre(3, self.ell)
 
 
-def spt_gen24(P: int, tables: StatTables) -> LaurentSeries:
+def spt_gen24(P: int) -> LaurentSeries:
     """S(q) = sum spt(n) q^(24n-1), stride 24, offset 23."""
     nmax = P // 24
-    tables.require(nmax)
-    return LaurentSeries(24, 23, 23, P, tables.spt[1:nmax + 1])
+    return LaurentSeries(24, 23, 23, P, stat_tables(nmax).spt[1:nmax + 1])
 
 
-def m_plus(P: int, tables: StatTables) -> LaurentSeries:
+def m_plus(P: int) -> LaurentSeries:
     """Holomorphic part of the weight-3/2 mock modular form:
     S(q) + (1/12) q d/dq P(q) = -1/12 q^-1 + sum [spt(n) + (24n-1)/12 p(n)] q^(24n-1)."""
     nmax = P // 24
-    tables.require(nmax)
+    tables = stat_tables(nmax)
     cs = [Fraction(-1, 12)]
     for n in range(1, nmax + 1):
         cs.append(Fraction(mplus_weight(tables, n), 12))
@@ -82,14 +81,14 @@ def hecke_t(f: LaurentSeries, ctx: HeckeContext) -> LaurentSeries:
     return LaurentSeries.from_terms(out, prec, stride=24, offset=23)
 
 
-def m_ell(ctx: HeckeContext, P: int, tables: StatTables) -> LaurentSeries:
+def m_ell(ctx: HeckeContext, P: int) -> LaurentSeries:
     """M_ell = M+ | T(ell^2) - (3|ell)(1+ell) M+, computed from the definition."""
-    mp = m_plus(P * ctx.ell ** 2, tables)
+    mp = m_plus(P * ctx.ell ** 2)
     # the image is known below P, so only M+ below P enters the difference
     return hecke_t(mp, ctx) - mp.truncate(P).scale(ctx.eps3 * (1 + ctx.ell))
 
 
-def m_ell_closed_form(ctx: HeckeContext, P: int, tables: StatTables) -> LaurentSeries:
+def m_ell_closed_form(ctx: HeckeContext, P: int) -> LaurentSeries:
     """The closed form -(ell/12) P(q) B_{delta_ell}(j(24 tau)) (E4^2 E6/Delta)(24 tau),
     built as (ell/12) P(q) r_ell(q)."""
     pgen = forms.partition_gen24(P + 24 * ctx.delta_ell + 48)
@@ -105,12 +104,12 @@ def r_ell_series(ctx: HeckeContext, P: int) -> LaurentSeries:
     return ((-jp24) * beval).truncate(P)
 
 
-def verify_thm11(ctx: HeckeContext, window: int, tables: StatTables) -> VerificationReport:
+def verify_thm11(ctx: HeckeContext, window: int) -> VerificationReport:
     """Compare M_ell from the Hecke definition against the closed form,
     exponent by exponent up to the window bound (exclusive)."""
     t0 = time.monotonic()
-    lhs = m_ell(ctx, window, tables)
-    rhs = m_ell_closed_form(ctx, window, tables)
+    lhs = m_ell(ctx, window)
+    rhs = m_ell_closed_form(ctx, window)
     lo = -ctx.ell ** 2
     rep = VerificationReport(check="thm1_1",
                              parameters={"ell": ctx.ell, "window": window},
@@ -120,11 +119,11 @@ def verify_thm11(ctx: HeckeContext, window: int, tables: StatTables) -> Verifica
     return rep
 
 
-def verify_mod_ell(ctx: HeckeContext, window: int, tables: StatTables) -> VerificationReport:
+def verify_mod_ell(ctx: HeckeContext, window: int) -> VerificationReport:
     """Check 12 (M+ | T(ell^2)) = (3|ell) 12 M+ (mod ell) on integer-cleared
     coefficients, i.e. every coefficient of 12 M_ell lies in ell*Z."""
     t0 = time.monotonic()
-    series = m_ell(ctx, window, tables).scale(12)
+    series = m_ell(ctx, window).scale(12)
     rep = VerificationReport(check="eq9_mod_ell",
                              parameters={"ell": ctx.ell, "window": window},
                              window=(-ctx.ell ** 2, window))

@@ -19,8 +19,7 @@ from .arith import legendre
 from .errors import EnumerationLimit, TableTooSmall, UnknownCheck
 from .report import VerificationReport
 
-_SPT_ENUM_GUARD = 60
-_UNIMODAL_ENUM_GUARD = 40
+_ENUM_GUARDS = {"spt": 60, "partition": 60, "unimodal": 40}
 
 
 def pentagonal_terms(limit: int) -> list[tuple[int, int]]:
@@ -85,6 +84,12 @@ def a_table(N: int) -> list[int]:
 # ----------------------------------------------------------------------
 # brute-force oracles
 
+def enumeration_guard(kind: str, n: int) -> None:
+    """Raise EnumerationLimit if n is past the guard of a 'spt', 'partition' or 'unimodal' walk."""
+    if n > _ENUM_GUARDS[kind]:
+        raise EnumerationLimit(f"{kind} enumeration guarded at n <= {_ENUM_GUARDS[kind]}")
+
+
 def iter_partitions(n: int) -> Iterator[list[int]]:
     """All partitions of n as ascending part lists (Kelleher's accelAsc)."""
     if n == 0:
@@ -114,8 +119,7 @@ def iter_partitions(n: int) -> Iterator[list[int]]:
 
 def spt_bruteforce(n: int) -> int:
     """Total multiplicity of smallest parts over all partitions of n."""
-    if n > _SPT_ENUM_GUARD:
-        raise EnumerationLimit(f"spt enumeration guarded at n <= {_SPT_ENUM_GUARD}")
+    enumeration_guard("spt", n)
     total = 0
     for parts in iter_partitions(n):
         total += bisect_right(parts, parts[0])
@@ -141,8 +145,7 @@ def ts_sum_bruteforce(n: int) -> int:
     a[:i] keeps its run state, so each partition adds its weight in O(1).
     Parts come in ascending order, so once a prefix skips a size its run stays
     broken and its weight stays fixed."""
-    if n > _SPT_ENUM_GUARD:
-        raise EnumerationLimit(f"partition enumeration guarded at n <= {_SPT_ENUM_GUARD}")
+    enumeration_guard("partition", n)
     a = [0] * (n + 1)
     # run[i]: the largest part L while a[:i] has exactly the part sizes 1..L,
     # -1 (which matches no part) once that run is broken; wt[i]: the signed
@@ -201,8 +204,7 @@ def ustar_bruteforce(n: int) -> int:
 
     A sequence is a strictly increasing run up to a peak followed by a strictly
     decreasing run; its rank is (terms after the peak) - (terms before it)."""
-    if n > _UNIMODAL_ENUM_GUARD:
-        raise EnumerationLimit(f"unimodal enumeration guarded at n <= {_UNIMODAL_ENUM_GUARD}")
+    enumeration_guard("unimodal", n)
     total = 0
     for peak in range(1, n + 1):
         rem = n - peak
@@ -239,6 +241,18 @@ class StatTables:
     def require(self, n: int) -> None:
         if n > self.limit:
             raise TableTooSmall(f"tables built to {self.limit}, need {n}")
+
+
+_TABLES: StatTables | None = None
+
+
+def stat_tables(n: int) -> StatTables:
+    """The process's one table, rebuilt to row n only when a reader asks past it;
+    each reader asks for the largest index it reads, so no caller sizes tables."""
+    global _TABLES
+    if _TABLES is None or _TABLES.limit < n:
+        _TABLES = StatTables.build(n)
+    return _TABLES
 
 
 # ----------------------------------------------------------------------
@@ -314,6 +328,11 @@ def _pentagonal_k_range(n: int) -> list[int]:
     return ks
 
 
+def c_formula_tables(max_n: int) -> StatTables:
+    """The process tables through row 25 max_n - 1, the deepest c_formula(n <= max_n) reads."""
+    return stat_tables(25 * max_n - 1)
+
+
 def c_formula(n: int, tables: StatTables) -> Fraction:
     """c(n) from partition statistics: (s(n) + sum_k (-1)^k [h1+h2](24n-(6k+1)^2))/n."""
     total = Fraction(s_fn(n))
@@ -332,6 +351,7 @@ def spt_from_ustar(tables: StatTables) -> list[int]:
 def c1_c2_decompositions(tables: StatTables) -> list[str]:
     """Itemized reconstruction of the displayed c(1) and c(2) splittings,
     first through spt, then through 2a - u* with its spt terms parenthesized."""
+    tables.require(49)
     return (_c1_c2_lines(tables.p, tables.spt, "{}")
             + _c1_c2_lines(tables.p, spt_from_ustar(tables), "({})"))
 
@@ -369,20 +389,8 @@ def spt_family_instances(ell: int, m: int, max_n: int, sign: str) -> list[tuple[
     return out
 
 
-def congruence_rows(family: str, max_n: int, ell: int = 5, m: int = 1) -> int:
-    """Largest table index check_congruences reads for a family, under
-    either sign convention."""
-    if family == "andrews":
-        return 13 * max_n + 6
-    if family == "all":
-        return max(congruence_rows(f, max_n, ell, m) for f in ("andrews", "eq5", "cor1_4"))
-    mm = 1 if family == "eq5" else m
-    return max((idx for sign in ("plus", "minus")
-                for _, idx in spt_family_instances(ell, mm, max_n, sign)), default=0)
-
-
-def check_congruences(family: str, tables: StatTables, max_n: int = 200,
-                      ell: int = 5, m: int = 1, sign: str = "plus") -> VerificationReport:
+def check_congruences(family: str, max_n: int, ell: int = 5, m: int = 1,
+                      sign: str = "plus") -> VerificationReport:
     """Verify one congruence family over the requested range.
 
     Families: 'andrews' (the mod 5/7/13 spt congruences), 'eq5' (the mod-ell
@@ -394,34 +402,35 @@ def check_congruences(family: str, tables: StatTables, max_n: int = 200,
                                          "sign_convention": sign},
                              window=(1, max_n + 1))
     if family == "andrews":
-        for step, res, mod in ((5, 4, 5), (7, 5, 7), (13, 6, 13)):
-            for n in range(0, max_n + 1):
-                idx = step * n + res
-                tables.require(idx)
+        progressions = [(mod, res, range(res, mod * max_n + res + 1, mod))
+                        for mod, res in ((5, 4), (7, 5), (13, 6))]
+        tables = stat_tables(max(idxs[-1] for _, _, idxs in progressions))
+        for mod, res, idxs in progressions:
+            for idx in idxs:
                 rep.record(idx, tables.spt[idx] % mod, 0)
-            rep.details.append(f"spt({step}n+{res}) = 0 mod {mod}: n <= {max_n}")
+            rep.details.append(f"spt({mod}n+{res}) = 0 mod {mod}: n <= {max_n}")
     elif family in ("eq5", "eq6"):
         mm = 1 if family == "eq5" else m
         modulus = ell ** mm
         inst = spt_family_instances(ell, mm, max_n, sign)
-        for n, idx in inst:
-            tables.require(idx)
-            rep.record(idx, tables.spt[idx] % modulus, 0)
         other = spt_family_instances(ell, mm, max_n, "minus" if sign == "plus" else "plus")
+        tables = stat_tables(max((idx for _, idx in inst + other), default=0))
+        for n, idx in inst:
+            rep.record(idx, tables.spt[idx] % modulus, 0)
         rep.details.append(f"convention '{sign}': {len(inst)} integral indices, "
                            f"{len(rep.mismatches)} failures")
-        tables.require(max((idx for _, idx in other), default=0))
         bad = sum(1 for _, idx in other if tables.spt[idx] % modulus)
         rep.details.append(f"other convention: {len(other)} integral indices, "
                            f"{bad} failures")
     elif family == "cor1_4":
         modulus = ell ** m
-        for n, idx in spt_family_instances(ell, m, max_n, sign):
-            tables.require(idx)
+        inst = spt_family_instances(ell, m, max_n, sign)
+        tables = stat_tables(max((idx for _, idx in inst), default=0))
+        for n, idx in inst:
             rep.record(idx, (tables.ustar[idx] - 2 * tables.a[idx]) % modulus, 0)
     elif family == "all":
         for sub in ("andrews", "eq5", "cor1_4"):
-            r = check_congruences(sub, tables, max_n=max_n, ell=ell, m=m, sign=sign)
+            r = check_congruences(sub, max_n, ell=ell, m=m, sign=sign)
             rep.mismatches.extend(r.mismatches)
             rep.details.extend(f"{sub}: {d}" for d in r.details or [r.status])
     else:

@@ -8,16 +8,16 @@ import time
 from fractions import Fraction
 
 from . import forms, jbasis, partitions
-from .partitions import StatTables
 from .report import VerificationReport
 from .series import LaurentSeries
 
 
-def verify_thm1_2(tables: StatTables, max_n: int = 20) -> VerificationReport:
+def verify_thm1_2(max_n: int) -> VerificationReport:
     """c(n) from the h1/h2 partition formula against the j-expansion."""
     t0 = time.monotonic()
     rep = VerificationReport(check="thm1_2", parameters={"max_n": max_n},
                              window=(1, max_n + 1))
+    tables = partitions.c_formula_tables(max_n)
     j = forms.j_series(max_n + 1)
     for n in range(1, max_n + 1):
         rep.record(n, partitions.c_formula(n, tables), j.coeff(n))
@@ -25,36 +25,39 @@ def verify_thm1_2(tables: StatTables, max_n: int = 20) -> VerificationReport:
     return rep
 
 
-def verify_thm1_3(tables: StatTables, max_n: int = 40) -> VerificationReport:
+def verify_thm1_3(max_n: int) -> VerificationReport:
     """Signed-triangular-weight enumeration against the A(q) series coefficients."""
+    partitions.enumeration_guard("partition", max_n)
     t0 = time.monotonic()
     rep = VerificationReport(check="thm1_3", parameters={"max_n": max_n},
                              window=(1, max_n + 1))
-    tables.require(max_n)
+    tables = partitions.stat_tables(max_n)
     for n in range(1, max_n + 1):
         rep.record(n, partitions.ts_sum_bruteforce(n), tables.a[n])
     rep.runtime_ms = int((time.monotonic() - t0) * 1000)
     return rep
 
 
-def verify_eq17(tables: StatTables, max_n: int = 30) -> VerificationReport:
+def verify_eq17(max_n: int) -> VerificationReport:
     """u* from strongly unimodal enumeration against -spt + 2a."""
+    partitions.enumeration_guard("unimodal", max_n)
     t0 = time.monotonic()
     rep = VerificationReport(check="eq17", parameters={"max_n": max_n},
                              window=(1, max_n + 1))
-    tables.require(max_n)
+    tables = partitions.stat_tables(max_n)
     for n in range(1, max_n + 1):
         rep.record(n, partitions.ustar_bruteforce(n), tables.ustar[n])
     rep.runtime_ms = int((time.monotonic() - t0) * 1000)
     return rep
 
 
-def verify_cor1_5(tables: StatTables, max_n: int = 20) -> VerificationReport:
+def verify_cor1_5(max_n: int) -> VerificationReport:
     """The u*/a coefficient formula: equals both the h-formula and c(n),
     with the displayed c(1), c(2) decompositions itemized."""
     t0 = time.monotonic()
     rep = VerificationReport(check="cor1_5", parameters={"max_n": max_n},
                              window=(1, max_n + 1))
+    tables = partitions.c_formula_tables(max(max_n, 2))  # the c(2) splitting reads c(2)'s rows
     j = forms.j_series(max_n + 1)
     via_ustar = dataclasses.replace(tables, spt=tuple(partitions.spt_from_ustar(tables)))
     for n in range(1, max_n + 1):

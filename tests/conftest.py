@@ -5,6 +5,7 @@ import dataclasses
 
 import pytest
 
+from qspt import partitions
 from qspt.partitions import StatTables
 
 
@@ -13,13 +14,18 @@ def tables():
     return StatTables.build(640)
 
 
-@pytest.fixture(scope="session")
-def perturbed(tables):
-    """The session tables with delta added to entry index of one column."""
+@pytest.fixture
+def perturbed(tables, monkeypatch):
+    """Install the session tables, with delta added to entry index of one
+    column, as the process tables that every verifier reads; return them.
+    Every reader of a fault-injection test stays within their 640 rows, so
+    none rebuilds the tables and drops the corruption."""
 
-    def build(column, index, delta=1):
+    def install(column, index, delta=1):
         col = getattr(tables, column)
         bumped = col[:index] + (col[index] + delta,) + col[index + 1:]
-        return dataclasses.replace(tables, **{column: bumped})
+        corrupted = dataclasses.replace(tables, **{column: bumped})
+        monkeypatch.setattr(partitions, "_TABLES", corrupted)
+        return corrupted
 
-    return build
+    return install

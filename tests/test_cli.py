@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from qspt import cli, forms
+from qspt import cli, forms, partitions
+from qspt.partitions import StatTables
 from qspt.series import LaurentSeries
 
 
@@ -13,7 +14,7 @@ from qspt.series import LaurentSeries
 def isolated_cache(tmp_path, monkeypatch):
     # every qspt invocation is a fresh process: no file cache, no tables
     monkeypatch.setenv("QSPT_CACHE", str(tmp_path / "cache"))
-    monkeypatch.setattr(cli, "_tables_cache", None)
+    monkeypatch.setattr(partitions, "_TABLES", None)
     return tmp_path
 
 
@@ -21,6 +22,26 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Record the n of every StatTables.build call and count the calls of the
+    thm1_3 and eq17 enumeration oracles."""
+    calls = {"builds": [], "oracle": 0}
+    build = StatTables.build.__func__
+
+    def counting_build(cls, n):
+        calls["builds"].append(n)
+        return build(cls, n)
+
+    monkeypatch.setattr(StatTables, "build", classmethod(counting_build))
+    for name in ("ts_sum_bruteforce", "ustar_bruteforce"):
+        def counting_oracle(n, oracle=getattr(partitions, name)):
+            calls["oracle"] += 1
+            return oracle(n)
+        monkeypatch.setattr(partitions, name, counting_oracle)
+    return calls
 
 
 def test_series_stdout(capsys):
@@ -64,6 +85,20 @@ def test_cache_misses_on_a_stale_file(tmp_path, name, prec):
     forms._CONSTRUCTORS[name](prec).dump(cache / "e4__600.json", name)
     assert cli._cache_lookup("e4", 100) is None
     assert cli.build_series("e4", 100) == forms.eisenstein_e4(100)
+    assert cli._cache_lookup("e4", 100) == forms.eisenstein_e4(100)
+
+
+@pytest.mark.parametrize("content", ['{"name": "e4", "stride": 1, "coeff',
+                                     '{"name": "e4", "stride": 1}', '[1, 2]'],
+                         ids=["truncated", "missing-keys", "not-a-dict"])
+def test_cache_miss_on_an_unreadable_file(capsys, tmp_path, content):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "e4__600.json").write_text(content)
+    assert cli._cache_lookup("e4", 100) is None
+    code, out, _ = run(capsys, "series", "--name", "e4", "--prec", "100")
+    assert code == 0
+    assert LaurentSeries.from_json_dict(json.loads(out)) == forms.eisenstein_e4(100)
     assert cli._cache_lookup("e4", 100) == forms.eisenstein_e4(100)
 
 
@@ -156,8 +191,8 @@ def test_verify_fail_exit_one(capsys):
     assert json.loads(out)["status"] == "fail"
 
 
-def test_verify_perturbed_tables_exit_one(capsys, monkeypatch, perturbed):
-    monkeypatch.setattr(cli, "_tables_cache", perturbed("spt", 24))
+def test_verify_perturbed_tables_exit_one(capsys, perturbed):
+    perturbed("spt", 24)
     code, out, _ = run(capsys, "verify", "thm1_2")
     assert code == 1
     doc = json.loads(out)
@@ -169,6 +204,52 @@ def test_verify_thm1_3_enumeration_guard_exit_two(capsys):
     code, out, err = run(capsys, "verify", "thm1_3", "--max-n", "61")
     assert (code, out) == (2, "")
     assert err == "error: partition enumeration guarded at n <= 60\n"
+
+
+@pytest.mark.parametrize("check, max_n, kind, guard", [
+    ("thm1_3", 61, "partition", 60), ("thm1_3", 20000, "partition", 60),
+    ("eq17", 41, "unimodal", 40), ("eq17", 20000, "unimodal", 40),
+])
+def test_enumeration_guard_fires_before_any_work(capsys, counted, check, max_n, kind, guard):
+    code, out, err = run(capsys, "verify", check, "--max-n", str(max_n))
+    assert (code, out) == (2, "")
+    assert err == f"error: {kind} enumeration guarded at n <= {guard}\n"
+    assert counted == {"builds": [], "oracle": 0}
+
+
+def test_verify_suite_builds_the_tables_once(counted):
+    # the twelve checks of the benchmark's verify_suite; thm1_1 at ell = 5,
+    # window 2400 reads the deepest row, 2400 * 25 / 24
+    for ell, window in ((5, 2400), (7, 1200), (11, 480)):
+        for check in ("thm1_1", "eq9_mod_ell"):
+            assert cli.run_check(check, ell=ell, window=window).passed
+    assert cli.run_check("congruences", max_n=190).passed
+    assert cli.run_check("cor1_4", ell=5).passed
+    for check in ("thm1_2", "cor1_5", "thm1_3", "eq17"):
+        assert cli.run_check(check).passed
+    assert counted["builds"] == [2500]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "cor1_5", "--max-n", "1"),
+    ("verify", "thm1_2", "--max-n", "1"),
+    ("verify", "congruences", "--max-n", "1"),
+    ("verify", "cor1_4", "--ell", "7", "--m", "2", "--max-n", "1"),
+    ("verify", "thm1_1", "--ell", "5", "--window", "1"),
+    ("verify", "thm1_1", "--ell", "13", "--window", "1"),
+    ("verify", "eq9_mod_ell", "--ell", "5", "--window", "1"),
+    ("verify", "eq9_mod_ell", "--ell", "13", "--window", "1"),
+    ("series", "--name", "mplus", "--prec", "1"),
+    ("series", "--name", "spt_gen24", "--prec", "1"),
+    ("series", "--name", "m_ell:5", "--prec", "1"),
+    ("table", "--name", "c_formula", "--max-n", "1"),
+], ids=" ".join)
+def test_smallest_requests_size_their_own_tables(capsys, argv):
+    # each starts from an empty process table (the autouse fixture)
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    if argv[0] == "verify":
+        assert json.loads(out)["status"] == "pass"
 
 
 def test_verify_thm1_1_small_window(capsys):
@@ -186,8 +267,8 @@ def test_verify_cor1_4_sizes_its_own_tables(capsys):
     assert json.loads(out)["status"] == "pass"
 
 
-def test_verify_non_integral_exit_one(capsys, monkeypatch, perturbed):
-    monkeypatch.setattr(cli, "_tables_cache", perturbed("spt", 3, Fraction(1, 7)))
+def test_verify_non_integral_exit_one(capsys, perturbed):
+    perturbed("spt", 3, Fraction(1, 7))
     code, out, _ = run(capsys, "verify", "eq9_mod_ell", "--ell", "5", "--window", "120")
     assert code == 1
     doc = json.loads(out)

@@ -285,27 +285,27 @@ def test_spt_family_instances():
         (47, 96), (143, 292), (167, 341)]
 
 
-def test_andrews_congruences(tables):
-    rep = pt.check_congruences("andrews", tables, max_n=39)
+def test_andrews_congruences():
+    rep = pt.check_congruences("andrews", max_n=39)
     assert rep.passed
     assert len(rep.details) == 3
 
 
-def test_eq5_convention(tables):
-    rep = pt.check_congruences("eq5", tables, max_n=200, ell=5, sign="plus")
+def test_eq5_convention():
+    rep = pt.check_congruences("eq5", max_n=200, ell=5, sign="plus")
     assert rep.passed
     assert any("convention 'plus': 3 integral indices" in d for d in rep.details)
     # the printed "minus" index family fails already at n = 1 (spt(1) = 1)
-    bad = pt.check_congruences("eq5", tables, max_n=39, ell=5, sign="minus")
+    bad = pt.check_congruences("eq5", max_n=39, ell=5, sign="minus")
     assert not bad.passed
     assert bad.mismatches[0].exponent == 1
 
 
-def test_cor1_4(tables):
-    rep = pt.check_congruences("cor1_4", tables, max_n=200, ell=5, m=1)
+def test_cor1_4():
+    rep = pt.check_congruences("cor1_4", max_n=200, ell=5, m=1)
     assert rep.passed
 
 
-def test_all_families(tables):
-    rep = pt.check_congruences("all", tables, max_n=39)
+def test_all_families():
+    rep = pt.check_congruences("all", max_n=39)
     assert rep.passed
