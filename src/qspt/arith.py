@@ -24,6 +24,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_hecke_prime(ell: int) -> None:
+    """Raise BadModulus unless ell is a prime >= 5, the primes with ell^2 = 1 mod 24."""
+    if ell < 5 or not is_prime(ell):
+        raise BadModulus(f"ell must be a prime >= 5, got {ell}")
+
+
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a|p) for an odd prime p, via Euler's criterion."""
     if p <= 2 or not is_prime(p):

@@ -8,9 +8,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import forms, jbasis
-from .arith import is_prime, legendre
-from .errors import BadModulus, BadSupport
-from .partitions import mplus_weight, stat_tables
+from .arith import legendre, require_hecke_prime
+from .errors import BadSupport
+from .partitions import mell_weight, mplus_weight, stat_tables
 from .report import VerificationReport
 from .series import LaurentSeries
 
@@ -22,8 +22,7 @@ class HeckeContext:
     ell: int
 
     def __post_init__(self):
-        if self.ell < 5 or not is_prime(self.ell):
-            raise BadModulus(f"ell must be a prime >= 5, got {self.ell}")
+        require_hecke_prime(self.ell)
 
     @property
     def delta_ell(self) -> int:
@@ -45,10 +44,8 @@ def m_plus(P: int) -> LaurentSeries:
     S(q) + (1/12) q d/dq P(q) = -1/12 q^-1 + sum [spt(n) + (24n-1)/12 p(n)] q^(24n-1)."""
     nmax = P // 24
     tables = stat_tables(nmax)
-    cs = [Fraction(-1, 12)]
-    for n in range(1, nmax + 1):
-        cs.append(Fraction(mplus_weight(tables, n), 12))
-    return LaurentSeries(24, 23, -1, P, cs)
+    return LaurentSeries(24, 23, -1, P,
+                         [Fraction(mplus_weight(tables, n), 12) for n in range(nmax + 1)])
 
 
 def hecke_t(f: LaurentSeries, ctx: HeckeContext) -> LaurentSeries:
@@ -82,10 +79,12 @@ def hecke_t(f: LaurentSeries, ctx: HeckeContext) -> LaurentSeries:
 
 
 def m_ell(ctx: HeckeContext, P: int) -> LaurentSeries:
-    """M_ell = M+ | T(ell^2) - (3|ell)(1+ell) M+, computed from the definition."""
-    mp = m_plus(P * ctx.ell ** 2)
-    # the image is known below P, so only M+ below P enters the difference
-    return hecke_t(mp, ctx) - mp.truncate(P).scale(ctx.eps3 * (1 + ctx.ell))
+    """M_ell = M+ | T(ell^2) - (3|ell)(1+ell) M+ below q^P, read from the tables through
+    partitions.mell_weight; hecke_t applied to m_plus gives the same series."""
+    ell, delta, kmax = ctx.ell, ctx.delta_ell, P // 24
+    tables = stat_tables(max(ell * ell * kmax - delta, 0))
+    cs = [Fraction(mell_weight(tables, ell, k), 12) for k in range(-delta, kmax + 1)]
+    return LaurentSeries(24, 23, -ell * ell, P, cs)
 
 
 def m_ell_closed_form(ctx: HeckeContext, P: int) -> LaurentSeries:

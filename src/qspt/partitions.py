@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
-from .arith import legendre
+from .arith import legendre, require_hecke_prime
 from .errors import EnumerationLimit, TableTooSmall, UnknownCheck
 from .report import VerificationReport
 
@@ -289,43 +289,25 @@ def mu(n: int) -> int:
 
 
 def mplus_weight(tables: StatTables, k: int) -> int:
-    """12 spt(k) + (24k-1) p(k): twelve times the coefficient of q^(24k-1) in M+."""
+    """12 spt(k) + (24k-1) p(k): twelve times the coefficient of q^(24k-1) in M+, 0 for k < 0."""
+    if k < 0:
+        return 0
     return 12 * tables.spt[k] + (24 * k - 1) * tables.p[k]
 
 
-def h1(m: int, tables: StatTables) -> Fraction:
-    """Weight attached to exponent m = 24n-1 in the T(25) expansion of M+.
-
-    The coefficient on p(n) in the mu_n term is (24n-1)/5, which is what the
-    c(1) and c(2) decompositions force."""
-    if m <= 0 or m % 24 != 23:
-        return Fraction(0)
-    n = (m + 1) // 24
-    tables.require(25 * n - 1)
-    return Fraction(mplus_weight(tables, 25 * n - 1) + mu(n) * mplus_weight(tables, n), 5)
-
-
-def h2(m: int, tables: StatTables) -> Fraction:
-    """Weight attached to exponent m = 25(24n-1); zero off that support."""
-    if m <= 0 or m % 24 != 23 or m % 25 != 0:
-        return Fraction(0)
-    n = (m // 25 + 1) // 24
-    tables.require(25 * n - 1)
-    return Fraction(mplus_weight(tables, n))
-
-
-def _pentagonal_k_range(n: int) -> list[int]:
-    """All k with (6k+1)^2 < 24n, i.e. a positive argument 24n-(6k+1)^2."""
-    ks = []
-    k = 0
-    while (6 * k + 1) ** 2 < 24 * n:
-        ks.append(k)
-        k += 1
-    k = -1
-    while (6 * k + 1) ** 2 < 24 * n:
-        ks.append(k)
-        k -= 1
-    return ks
+def mell_weight(tables: StatTables, ell: int, k: int) -> int:
+    """Twelve times the coefficient of q^m, m = 24k-1, in M_ell = M+ | T(ell^2) - (3|ell)(1+ell) M+,
+    where T(ell^2) sends a(m) to a(ell^2 m) + (3|ell)(-m|ell) a(m) + ell a(m/ell^2). The deepest
+    row is ell^2 k - delta, delta = (ell^2 - 1)/24, as ell^2 m = 24(ell^2 k - delta) - 1."""
+    ell2 = ell * ell
+    top = ell2 * k - (ell2 - 1) // 24
+    tables.require(top)
+    m = 24 * k - 1
+    w = (mplus_weight(tables, top)
+         + legendre(3, ell) * (legendre(-m, ell) - 1 - ell) * mplus_weight(tables, k))
+    if m % ell2 == 0:
+        w += ell * mplus_weight(tables, (m // ell2 + 1) // 24)
+    return w
 
 
 def c_formula_tables(max_n: int) -> StatTables:
@@ -334,12 +316,12 @@ def c_formula_tables(max_n: int) -> StatTables:
 
 
 def c_formula(n: int, tables: StatTables) -> Fraction:
-    """c(n) from partition statistics: (s(n) + sum_k (-1)^k [h1+h2](24n-(6k+1)^2))/n."""
+    """c(n) = (s(n) + sum_k (-1)^k (12/5) M_5[24n-(6k+1)^2])/n over the k with (6k+1)^2 < 24n.
+    As 24n-(6k+1)^2 = 24(n-g)-1 with g = k(3k+1)/2, the sum runs over the terms (-1)^k q^g
+    of (q;q)_inf with g < n, and M_5 is read through mell_weight."""
     total = Fraction(s_fn(n))
-    for k in _pentagonal_k_range(n):
-        arg = 24 * n - (6 * k + 1) ** 2
-        sign = -1 if k % 2 else 1
-        total += sign * (h1(arg, tables) + h2(arg, tables))
+    for g, sign in pentagonal_terms(n):
+        total += sign * Fraction(mell_weight(tables, 5, n - g), 5)
     return total / n
 
 
@@ -361,7 +343,7 @@ def _c1_c2_lines(p: Sequence[int], spt: Sequence[int], fmt: str) -> list[str]:
     t_mu = mu(1) * (Fraction(12, 5) * spt[1] + Fraction(23, 5) * p[1])
     t_spt = Fraction(12, 5) * spt[24]
     t_p = Fraction(5 * 23 * p[24])
-    # c(2) = (s(2) - h1(23) + h1(47))/2, itemized
+    # c(2) = (s(2) - w(1) + w(2))/2 with w(k) = mell_weight(tables, 5, k)/5, itemized
     t_mu2 = mu(2) * (Fraction(12, 5) * spt[2] + Fraction(47, 5) * p[2])
     t_spt2 = Fraction(12, 5) * spt[49]
     t_p2 = Fraction(5 * 47 * p[49])
@@ -396,6 +378,8 @@ def check_congruences(family: str, max_n: int, ell: int = 5, m: int = 1,
     Families: 'andrews' (the mod 5/7/13 spt congruences), 'eq5' (the mod-ell
     family), 'eq6' (mod ell^m), 'cor1_4' (u* = 2a mod ell^m at the same
     indices), 'all' (every family at its defaults)."""
+    if family in ("eq5", "eq6", "cor1_4", "all"):
+        require_hecke_prime(ell)
     t0 = time.monotonic()
     rep = VerificationReport(check=f"congruences:{family}",
                              parameters={"max_n": max_n, "ell": ell, "m": m,

@@ -13,7 +13,7 @@ from .series import LaurentSeries
 
 
 def verify_thm1_2(max_n: int) -> VerificationReport:
-    """c(n) from the h1/h2 partition formula against the j-expansion."""
+    """c(n) from the M_5 partition formula against the j-expansion."""
     t0 = time.monotonic()
     rep = VerificationReport(check="thm1_2", parameters={"max_n": max_n},
                              window=(1, max_n + 1))
@@ -52,7 +52,7 @@ def verify_eq17(max_n: int) -> VerificationReport:
 
 
 def verify_cor1_5(max_n: int) -> VerificationReport:
-    """The u*/a coefficient formula: equals both the h-formula and c(n),
+    """The c(n) formula on the column 2a - u*: equals both the formula on spt and c(n),
     with the displayed c(1), c(2) decompositions itemized."""
     t0 = time.monotonic()
     rep = VerificationReport(check="cor1_5", parameters={"max_n": max_n},

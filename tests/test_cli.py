@@ -219,7 +219,7 @@ def test_enumeration_guard_fires_before_any_work(capsys, counted, check, max_n, 
 
 def test_verify_suite_builds_the_tables_once(counted):
     # the twelve checks of the benchmark's verify_suite; thm1_1 at ell = 5,
-    # window 2400 reads the deepest row, 2400 * 25 / 24
+    # window 2400 reads the deepest row, 25 * (2400 // 24) - 1
     for ell, window in ((5, 2400), (7, 1200), (11, 480)):
         for check in ("thm1_1", "eq9_mod_ell"):
             assert cli.run_check(check, ell=ell, window=window).passed
@@ -227,7 +227,18 @@ def test_verify_suite_builds_the_tables_once(counted):
     assert cli.run_check("cor1_4", ell=5).passed
     for check in ("thm1_2", "cor1_5", "thm1_3", "eq17"):
         assert cli.run_check(check).passed
-    assert counted["builds"] == [2500]
+    assert counted["builds"] == [2499]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "cor1_4", "--ell", "3"),
+    ("verify", "congruences", "--ell", "3", "--max-n", "200"),
+], ids=" ".join)
+def test_congruence_families_refuse_ell_three(capsys, argv):
+    # 9n -+ 1 is never divisible by 24, so ell = 3 would compare nothing
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: ell must be a prime >= 5, got 3\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -66,6 +66,16 @@ def test_hecke_linearity():
         assert lhs.agrees_with(rhs)
 
 
+@pytest.mark.parametrize("ell", [5, 7, 11, 13, 23])
+@pytest.mark.parametrize("P", [1, 23, 24, 25, 48, 240])
+def test_m_ell_matches_the_operator_definition(ell, P):
+    ctx = HeckeContext(ell)
+    mp = hecke.m_plus(P * ell ** 2)
+    by_definition = hecke.hecke_t(mp, ctx) - mp.truncate(P).scale(ctx.eps3 * (1 + ell))
+    name = f"m_ell:{ell}"
+    assert hecke.m_ell(ctx, P).to_json_dict(name) == by_definition.to_json_dict(name)
+
+
 def test_m_ell_principal_parts():
     # principal part of M_ell is -(ell/12) q^(-ell^2) + (3|ell)(ell/12) q^(-1)
     for ell in (5, 7, 11, 13):

@@ -241,22 +241,36 @@ def test_mu_values():
     assert [pt.mu(n) for n in range(1, 5)] == [7, 7, 5, 6]
 
 
+# twelve times the coefficients of q^(24k-1) in M_5, k = 1, 2, 3, 24; k = 24 is
+# the first with a term ell a(m/ell^2), at m = 575 = 25 * 23
+_M5_WEIGHTS = {1: 984410, 2: 215922005, 3: 13181405965,
+               24: 6359461179835101566210937465}
+
+
 def test_h_weights(tables):
-    assert pt.h1(23, tables) == 196882
-    assert pt.h2(23, tables) == 0
-    assert pt.h2(575, tables) == 35
-    assert pt.h1(22, tables) == 0
-    assert pt.h1(-1, tables) == 0
+    assert {k: pt.mell_weight(tables, 5, k) for k in _M5_WEIGHTS} == _M5_WEIGHTS
 
 
 def test_g_matches_h(tables):
-    # the Corollary 1.5 weights: h1, h2 on the column 2a - u*
+    # the Corollary 1.5 weights: mell_weight on the column 2a - u*
     col = pt.spt_from_ustar(tables)
     assert col == list(tables.spt)
     via_ustar = replace(tables, spt=tuple(col))
-    for m in (23, 47, 71, 95, 119, 575):
-        assert pt.h1(m, via_ustar) == pt.h1(m, tables)
-        assert pt.h2(m, via_ustar) == pt.h2(m, tables)
+    assert {k: pt.mell_weight(via_ustar, 5, k) for k in _M5_WEIGHTS} == _M5_WEIGHTS
+
+
+def test_mell_weight_short_table_raises(tables):
+    # k = 25 at ell = 5 reads row 624 of the 640; k = 26 reads row 649
+    assert pt.mell_weight(tables, 5, 25) % 5 == 0
+    with pytest.raises(TableTooSmall):
+        pt.mell_weight(tables, 5, 26)
+    with pytest.raises(TableTooSmall):
+        pt.mell_weight(tables, 7, 14)  # 49 * 14 - 2 = 684
+
+
+def test_mplus_weight_is_zero_below_row_zero(tables):
+    assert pt.mplus_weight(tables, -1) == 0
+    assert pt.mplus_weight(tables, 0) == -1
 
 
 def test_c_formula_first_coefficients(tables):
