@@ -13,7 +13,7 @@ import sys
 import tempfile
 
 from . import forms, hecke, partitions, verify
-from .errors import QsptError, UnknownCheck, UnknownSeries
+from .errors import CacheError, QsptError, UnknownCheck, UnknownSeries
 from .hecke import HeckeContext
 from .series import LaurentSeries
 
@@ -46,8 +46,8 @@ def _cache_lookup(name: str, precision: int) -> LaurentSeries | None:
         return None
     try:
         stored, series = LaurentSeries.load(os.path.join(d, prefix + f"{best}.json"), precision)
-    except (ValueError, KeyError, TypeError):  # not a series document
-        return None
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
+        return None  # an entry that cannot be read, or is not a series document
     # a file holding another series, or too few coefficients for the request, is a miss
     if stored != name or series.precision < precision:
         return None
@@ -56,13 +56,20 @@ def _cache_lookup(name: str, precision: int) -> LaurentSeries | None:
 
 def _cache_store(name: str, series: LaurentSeries) -> None:
     d = cache_dir()
-    os.makedirs(d, exist_ok=True)
     path = os.path.join(d, name.replace(":", "_") + f"__{series.precision}.json")
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        json.dump(series.to_json_dict(name), fh)
-        fh.write("\n")
-    os.replace(tmp, path)
+    try:
+        os.makedirs(d, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(series.to_json_dict(name), fh)
+                fh.write("\n")
+            os.replace(tmp, path)
+        except OSError:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise CacheError(f"cannot write the series cache {d!r}: {exc}") from exc
 
 
 def build_series(name: str, precision: int) -> LaurentSeries:

@@ -39,3 +39,7 @@ class UnknownSeries(QsptError):
 
 class UnknownCheck(QsptError):
     """CLI request for a verification check that does not exist."""
+
+
+class CacheError(QsptError):
+    """The series file cache cannot be written."""

@@ -3,9 +3,7 @@ Delta, j, -q dj/dq, alpha, and the partition generating function at level 24."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .partitions import p_table, pentagonal_terms
+from .partitions import p_table, pentagonal_terms, triangular_terms
 from .series import LaurentSeries
 
 
@@ -54,10 +52,12 @@ def eisenstein_e6(P: int) -> LaurentSeries:
 
 
 def delta_series(P: int) -> LaurentSeries:
-    """Delta = (E4^3 - E6^2)/1728, valuation 1."""
-    e4 = eisenstein_e4(P)
-    e6 = eisenstein_e6(P)
-    return (e4.pow(3) - e6.pow(2)).scale(Fraction(1, 1728))
+    """Delta = q (q;q)_inf^24 = q ((q;q)_inf^3)^8, valuation 1, with (q;q)_inf^3 from
+    Jacobi's identity; independent of the Eisenstein series (E4^3 - E6^2)/1728."""
+    cs = [0] * max(P - 1, 0)
+    for e, c in triangular_terms(P - 1):
+        cs[e] = c
+    return LaurentSeries(1, 0, 0, P - 1, cs).pow(8).shift(1)
 
 
 def j_series(P: int) -> LaurentSeries:

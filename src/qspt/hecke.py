@@ -44,8 +44,7 @@ def m_plus(P: int) -> LaurentSeries:
     S(q) + (1/12) q d/dq P(q) = -1/12 q^-1 + sum [spt(n) + (24n-1)/12 p(n)] q^(24n-1)."""
     nmax = P // 24
     tables = stat_tables(nmax)
-    return LaurentSeries(24, 23, -1, P,
-                         [Fraction(mplus_weight(tables, n), 12) for n in range(nmax + 1)])
+    return LaurentSeries(24, 23, -1, P, [mplus_weight(tables, n) for n in range(nmax + 1)], 12)
 
 
 def hecke_t(f: LaurentSeries, ctx: HeckeContext) -> LaurentSeries:
@@ -83,8 +82,8 @@ def m_ell(ctx: HeckeContext, P: int) -> LaurentSeries:
     partitions.mell_weight; hecke_t applied to m_plus gives the same series."""
     ell, delta, kmax = ctx.ell, ctx.delta_ell, P // 24
     tables = stat_tables(max(ell * ell * kmax - delta, 0))
-    cs = [Fraction(mell_weight(tables, ell, k), 12) for k in range(-delta, kmax + 1)]
-    return LaurentSeries(24, 23, -ell * ell, P, cs)
+    cs = [mell_weight(tables, ell, k) for k in range(-delta, kmax + 1)]
+    return LaurentSeries(24, 23, -ell * ell, P, cs, 12)
 
 
 def m_ell_closed_form(ctx: HeckeContext, P: int) -> LaurentSeries:

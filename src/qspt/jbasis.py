@@ -105,11 +105,11 @@ def eval_at_series(poly: IntPolynomial, s: LaurentSeries) -> LaurentSeries:
     if not poly.coefficients:
         return LaurentSeries.zero(s.precision - s.valuation, s.stride, 0)
     acc = LaurentSeries(s.stride, 0, 0, s.precision - s.valuation * poly.degree,
-                        [Fraction(poly.coefficients[-1])])
+                        [poly.coefficients[-1]])
     for c in reversed(poly.coefficients[:-1]):
         acc = acc * s
         if c:
-            acc = acc + LaurentSeries(s.stride, 0, 0, acc.precision, [Fraction(c)])
+            acc = acc + LaurentSeries(s.stride, 0, 0, acc.precision, [c])
     return acc
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
@@ -33,6 +33,17 @@ def pentagonal_terms(limit: int) -> list[tuple[int, int]]:
             out.append((k * (3 * k + 1) // 2, s))
         k += 1
     out.sort()
+    return out
+
+
+def triangular_terms(limit: int) -> list[tuple[int, int]]:
+    """(exponent, coefficient) pairs of (q;q)_inf^3 below limit, exponents increasing:
+    Jacobi's identity (q;q)_inf^3 = sum_{k>=0} (-1)^k (2k+1) q^(k(k+1)/2)."""
+    out = []
+    k = 0
+    while k * (k + 1) // 2 < limit:
+        out.append((k * (k + 1) // 2, -(2 * k + 1) if k % 2 else 2 * k + 1))
+        k += 1
     return out
 
 
@@ -284,30 +295,42 @@ def _isqrt_exact(m: int) -> int | None:
 
 
 def mu(n: int) -> int:
-    """mu_n = 6 - ((1-24n)|5)."""
-    return 6 - legendre(1 - 24 * n, 5)
+    """mu_n = 6 - ((1-24n)|5): the factor of M+[24n-1] in M_5[24n-1] (see mell_terms)."""
+    return mell_terms(5, n)[1][0]
+
+
+def mplus_parts(tables: StatTables, k: int) -> tuple[int, int]:
+    """12 spt(k) and (24k-1) p(k), whose sum is mplus_weight; zeros for k < 0."""
+    if k < 0:
+        return 0, 0
+    return 12 * tables.spt[k], (24 * k - 1) * tables.p[k]
 
 
 def mplus_weight(tables: StatTables, k: int) -> int:
-    """12 spt(k) + (24k-1) p(k): twelve times the coefficient of q^(24k-1) in M+, 0 for k < 0."""
-    if k < 0:
-        return 0
-    return 12 * tables.spt[k] + (24 * k - 1) * tables.p[k]
+    """Twelve times the coefficient of q^(24k-1) in M+, 0 for k < 0."""
+    return sum(mplus_parts(tables, k))
+
+
+def mell_terms(ell: int, k: int) -> list[tuple[int, int]]:
+    """(factor, row) pairs with mell_weight(tables, ell, k) = sum factor * mplus_weight(tables, row).
+
+    M_ell = M+ | T(ell^2) - (3|ell)(1+ell) M+, where T(ell^2) sends a(m) to
+    a(ell^2 m) + (3|ell)(-m|ell) a(m) + ell a(m/ell^2). At m = 24k-1, the first row is the
+    deepest: ell^2 m = 24(ell^2 k - delta) - 1 with delta = (ell^2 - 1)/24."""
+    ell2 = ell * ell
+    m = 24 * k - 1
+    terms = [(1, ell2 * k - (ell2 - 1) // 24),
+             (legendre(3, ell) * (legendre(-m, ell) - 1 - ell), k)]
+    if m % ell2 == 0:
+        terms.append((ell, (m // ell2 + 1) // 24))
+    return terms
 
 
 def mell_weight(tables: StatTables, ell: int, k: int) -> int:
-    """Twelve times the coefficient of q^m, m = 24k-1, in M_ell = M+ | T(ell^2) - (3|ell)(1+ell) M+,
-    where T(ell^2) sends a(m) to a(ell^2 m) + (3|ell)(-m|ell) a(m) + ell a(m/ell^2). The deepest
-    row is ell^2 k - delta, delta = (ell^2 - 1)/24, as ell^2 m = 24(ell^2 k - delta) - 1."""
-    ell2 = ell * ell
-    top = ell2 * k - (ell2 - 1) // 24
-    tables.require(top)
-    m = 24 * k - 1
-    w = (mplus_weight(tables, top)
-         + legendre(3, ell) * (legendre(-m, ell) - 1 - ell) * mplus_weight(tables, k))
-    if m % ell2 == 0:
-        w += ell * mplus_weight(tables, (m // ell2 + 1) // 24)
-    return w
+    """Twelve times the coefficient of q^(24k-1) in M_ell; raises TableTooSmall short of its rows."""
+    terms = mell_terms(ell, k)
+    tables.require(terms[0][1])
+    return sum(f * mplus_weight(tables, row) for f, row in terms)
 
 
 def c_formula_tables(max_n: int) -> StatTables:
@@ -334,19 +357,20 @@ def c1_c2_decompositions(tables: StatTables) -> list[str]:
     """Itemized reconstruction of the displayed c(1) and c(2) splittings,
     first through spt, then through 2a - u* with its spt terms parenthesized."""
     tables.require(49)
-    return (_c1_c2_lines(tables.p, tables.spt, "{}")
-            + _c1_c2_lines(tables.p, spt_from_ustar(tables), "({})"))
+    via_ustar = replace(tables, spt=tuple(spt_from_ustar(tables)))
+    return _c1_c2_lines(tables, "{}") + _c1_c2_lines(via_ustar, "({})")
 
 
-def _c1_c2_lines(p: Sequence[int], spt: Sequence[int], fmt: str) -> list[str]:
-    # c(1) = s(1) + mu_1*(12/5 spt(1) + 23/5 p(1)) + 12/5 spt(24) + 115 p(24)
-    t_mu = mu(1) * (Fraction(12, 5) * spt[1] + Fraction(23, 5) * p[1])
-    t_spt = Fraction(12, 5) * spt[24]
-    t_p = Fraction(5 * 23 * p[24])
-    # c(2) = (s(2) - w(1) + w(2))/2 with w(k) = mell_weight(tables, 5, k)/5, itemized
-    t_mu2 = mu(2) * (Fraction(12, 5) * spt[2] + Fraction(47, 5) * p[2])
-    t_spt2 = Fraction(12, 5) * spt[49]
-    t_p2 = Fraction(5 * 47 * p[49])
+def _c1_c2_lines(tables: StatTables, fmt: str) -> list[str]:
+    # c(1) = s(1) + w(1) and c(2) = (s(2) - w(1) + w(2))/2 with w(k) = mell_weight(tables, 5, k)/5,
+    # each w(k) itemized as its mu_k M+ term and the spt and p parts of its top row
+    items = []
+    for k in (1, 2):
+        (_, top), (mu_k, row) = mell_terms(5, k)  # no third term: 25 divides neither 23 nor 47
+        t_mu = Fraction(mu_k * mplus_weight(tables, row), 5)
+        t_spt, t_p = (Fraction(x, 5) for x in mplus_parts(tables, top))
+        items.append((t_mu, t_spt, t_p))
+    (t_mu, t_spt, t_p), (t_mu2, t_spt2, t_p2) = items
     f_spt, f_spt2 = fmt.format(t_spt), fmt.format(t_spt2)
     return [f"c(1) = {s_fn(1)} + {t_mu} + {f_spt} + {t_p}"
             f" = {s_fn(1) + t_mu + t_spt + t_p}",

@@ -4,6 +4,10 @@ A series is stored on an arithmetic progression of exponents
 (``offset + stride*Z``): only progression points between ``valuation``
 (inclusive) and ``precision`` (exclusive) carry coefficients, and every
 exponent below ``precision`` that is off the progression is exactly zero.
+The coefficients are integer numerators ``nums`` over one common
+denominator ``den`` (positive, coprime to the numerators, and 1 for an
+integral series), so the ring operations, division and the interchange
+format work on integers; ``coeff`` and ``terms`` hand out ``Fraction``s.
 All values are immutable and every operation is a pure function.
 """
 
@@ -12,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping
 
 from .arith import fraction_str, from_decimal, to_decimal
@@ -79,57 +83,76 @@ def _kron_mul(a: list[int], b: list[int], n_out: int) -> list[int]:
             for i in range(0, nbytes * n_out, nbytes)]
 
 
-def _clear_denominators(a: list[Fraction]) -> tuple[list[int], int]:
-    """Integers c and one common denominator d with a = c / d."""
-    d = math.lcm(*(x.denominator for x in a))
-    return [x.numerator * (d // x.denominator) for x in a], d
-
-
-def _conv_frac(a: list[Fraction], b: list[Fraction], n_out: int) -> list[Fraction]:
-    """Truncated Cauchy product of rational coefficient lists."""
-    ai, da = _clear_denominators(a)
-    bi, db = _clear_denominators(b)
-    ci = convolve(ai, bi, n_out)
-    d = da * db
-    if d == 1:
-        return [Fraction(c) for c in ci]
-    return [Fraction(c, d) for c in ci]
+def _clear_denominators(pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+    """Integers c and one common denominator d with c[i] / d = n / e for the
+    i-th (numerator, denominator) pair (n, e)."""
+    pairs = list(pairs)
+    d = math.lcm(*(e for _, e in pairs))
+    return [n * (d // e) for n, e in pairs], d
 
 
 class LaurentSeries:
-    """Immutable truncated Laurent series with stride/offset compaction."""
+    """Immutable truncated Laurent series with stride/offset compaction.
 
-    __slots__ = ("stride", "offset", "valuation", "precision", "coeffs")
+    The coefficient at exponent valuation + stride*i is nums[i] / den, with
+    den > 0 and gcd(den, *nums) == 1, so den is 1 exactly when every
+    coefficient is an integer."""
+
+    __slots__ = ("stride", "offset", "valuation", "precision", "nums", "den")
 
     def __init__(self, stride: int, offset: int, valuation: int,
-                 precision: int, coeffs: Iterable[Fraction | int]):
+                 precision: int, coeffs: Iterable[Fraction | int], den: int = 1):
+        """The coefficients are coeffs[i] / den; den defaults to 1."""
+        nums = list(coeffs)
+        if not all(type(c) is int for c in nums):
+            nums, d = _clear_denominators((x.numerator, x.denominator)
+                                          for x in map(Fraction, nums))
+            den *= d
+        self._init(stride, offset, valuation, precision, nums, den)
+
+    @classmethod
+    def _of(cls, stride: int, offset: int, valuation: int, precision: int,
+            nums, den: int = 1) -> "LaurentSeries":
+        """The series nums / den, for integer nums: no conversion pass."""
+        self = object.__new__(cls)
+        self._init(stride, offset, valuation, precision, nums, den)
+        return self
+
+    def _init(self, stride, offset, valuation, precision, nums, den) -> None:
         if stride < 1:
             raise ValueError("stride must be >= 1")
         if not 0 <= offset < stride:
             raise ValueError("offset must lie in [0, stride)")
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        # trim leading exact zeros; they carry no information
-        lead = 0
-        while lead < len(cs) and cs[lead] == 0:
+        if den == 0:
+            raise ZeroDivisionError("denominator must be nonzero")
+        # trim leading and trailing exact zeros; they carry no information
+        lead, end = 0, len(nums)
+        while lead < end and not nums[lead]:
             lead += 1
+        while end > lead and not nums[end - 1]:
+            end -= 1
+        nums = nums[lead:end]
         valuation += stride * lead
-        cs = cs[lead:]
-        # trim trailing zeros, keeping precision
-        while cs and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            valuation = precision
-        elif valuation % stride != offset % stride:
+        if not nums:
+            valuation, den = precision, 1
+        elif valuation % stride != offset:
             raise ValueError("valuation must be congruent to offset mod stride")
         if valuation > precision:
             raise ValueError("valuation exceeds precision")
-        if cs and len(cs) > _pp_count(valuation, precision, stride):
+        if len(nums) > _pp_count(valuation, precision, stride):
             raise ValueError("coefficient list longer than the precision window")
+        if den != 1:
+            if den < 0:
+                den, nums = -den, [-c for c in nums]
+            g = math.gcd(den, *nums)
+            if g > 1:
+                den, nums = den // g, [c // g for c in nums]
         object.__setattr__(self, "stride", stride)
-        object.__setattr__(self, "offset", offset % stride)
+        object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "valuation", valuation)
         object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentSeries is immutable")
@@ -139,11 +162,11 @@ class LaurentSeries:
 
     @classmethod
     def zero(cls, precision: int, stride: int = 1, offset: int = 0) -> "LaurentSeries":
-        return cls(stride, offset, precision, precision, [])
+        return cls._of(stride, offset, precision, precision, ())
 
     @classmethod
     def one(cls, precision: int, stride: int = 1) -> "LaurentSeries":
-        return cls(stride, 0, 0, precision, [Fraction(1)])
+        return cls._of(stride, 0, 0, precision, (1,))
 
     @classmethod
     def from_terms(cls, terms: Mapping[int, Fraction | int], precision: int,
@@ -172,23 +195,32 @@ class LaurentSeries:
     # ------------------------------------------------------------------
     # inspection
 
+    @property
+    def coeffs(self) -> tuple:
+        """The stored coefficients, each exposing .numerator and .denominator:
+        the integers themselves when den is 1, else reduced Fractions."""
+        if self.den == 1:
+            return self.nums
+        return tuple(Fraction(c, self.den) for c in self.nums)
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def coeff(self, n: int) -> Fraction:
         """Exact coefficient at exponent n; errors past the precision bound."""
         if n >= self.precision:
             raise OutOfPrecision(f"coefficient at {n} requested, known below {self.precision}")
-        if not self.coeffs or n < self.valuation or (n - self.valuation) % self.stride:
+        if n < self.valuation or (n - self.valuation) % self.stride:
             return _ZERO
         i = (n - self.valuation) // self.stride
-        return self.coeffs[i] if i < len(self.coeffs) else _ZERO
+        return Fraction(self.nums[i], self.den) if i < len(self.nums) else _ZERO
 
     def terms(self) -> Iterator[tuple[int, Fraction]]:
         """Nonzero (exponent, coefficient) pairs in increasing exponent order."""
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                yield self.valuation + self.stride * i, c
+        den = self.den
+        for i, c in enumerate(self.nums):
+            if c:
+                yield self.valuation + self.stride * i, Fraction(c, den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentSeries):
@@ -206,7 +238,7 @@ class LaurentSeries:
 
     def __repr__(self) -> str:
         parts = [f"{fraction_str(c)}*q^{e}" for e, c in list(self.terms())[:6]]
-        if len(self.coeffs) > 6:
+        if len(self.nums) > 6:
             parts.append("...")
         body = " + ".join(parts) if parts else "0"
         return f"<LaurentSeries {body} + O(q^{self.precision})>"
@@ -220,21 +252,18 @@ class LaurentSeries:
             return self
         if self.stride % stride:
             raise ValueError("new stride must divide the old stride")
-        if not self.coeffs:
-            return LaurentSeries(stride, self.valuation % stride, self.precision,
-                                 self.precision, [])
+        if not self.nums:
+            return LaurentSeries.zero(self.precision, stride, self.valuation % stride)
         step = self.stride // stride
-        n = _pp_count(self.valuation, self.precision, stride)
-        cs = [_ZERO] * n
-        for i, c in enumerate(self.coeffs):
-            cs[i * step] = c
-        return LaurentSeries(stride, self.valuation % stride, self.valuation,
-                             self.precision, cs)
+        cs = [0] * _pp_count(self.valuation, self.precision, stride)
+        cs[:len(self.nums) * step:step] = self.nums  # every step-th point, from the first
+        return LaurentSeries._of(stride, self.valuation % stride, self.valuation,
+                                 self.precision, cs, self.den)
 
     def shift(self, e: int) -> "LaurentSeries":
         """Multiply by q^e."""
-        return LaurentSeries(self.stride, (self.offset + e) % self.stride,
-                             self.valuation + e, self.precision + e, self.coeffs)
+        return LaurentSeries._of(self.stride, (self.offset + e) % self.stride,
+                                 self.valuation + e, self.precision + e, self.nums, self.den)
 
     # ------------------------------------------------------------------
     # ring operations
@@ -242,31 +271,28 @@ class LaurentSeries:
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         f, g = self, other
         s = math.gcd(f.stride, g.stride, abs(f.offset - g.offset))
-        if s == 0:
-            s = f.stride
         f = f._reexpand(s)
         g = g._reexpand(s)
         prec = min(f.precision, g.precision)
-        if not f.coeffs:
+        if not f.nums:
             return g.truncate(prec)
-        if not g.coeffs:
+        if not g.nums:
             return f.truncate(prec)
         val = min(f.valuation, g.valuation)
         n = _pp_count(val, prec, s)
-        cs = [_ZERO] * n
-        for i, c in enumerate(f.coeffs):
-            k = (f.valuation - val) // s + i
-            if k < n:
-                cs[k] = c
-        for i, c in enumerate(g.coeffs):
-            k = (g.valuation - val) // s + i
-            if k < n:
-                cs[k] += c
-        return LaurentSeries(s, val % s, val, prec, cs)
+        den = math.lcm(f.den, g.den)
+        cs = [0] * n
+        for h in (f, g):
+            k = (h.valuation - val) // s
+            part = h.nums[:max(n - k, 0)]
+            if h.den != den:
+                part = [c * (den // h.den) for c in part]
+            cs[k:k + len(part)] = map(add, cs[k:k + len(part)], part)
+        return LaurentSeries._of(s, val % s, val, prec, cs, den)
 
     def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(self.stride, self.offset, self.valuation,
-                             self.precision, [-c for c in self.coeffs])
+        return LaurentSeries._of(self.stride, self.offset, self.valuation,
+                                 self.precision, [-c for c in self.nums], self.den)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self + (-other)
@@ -280,13 +306,13 @@ class LaurentSeries:
         g = g._reexpand(s)
         val = f.valuation + g.valuation
         prec = min(f.precision + g.valuation, g.precision + f.valuation)
-        if not f.coeffs or not g.coeffs:
+        if not f.nums or not g.nums:
             return LaurentSeries.zero(prec, s, (f.offset + g.offset) % s)
         n = _pp_count(val, prec, s)
         if n <= 0:
             return LaurentSeries.zero(prec, s, val % s)
-        cs = _conv_frac(list(f.coeffs), list(g.coeffs), n)
-        return LaurentSeries(s, val % s, val, prec, cs)
+        return LaurentSeries._of(s, val % s, val, prec, convolve(f.nums, g.nums, n),
+                                 f.den * g.den)
 
     __rmul__ = __mul__
 
@@ -294,8 +320,9 @@ class LaurentSeries:
         c = Fraction(c)
         if c == 0:
             return LaurentSeries.zero(self.precision, self.stride, self.offset)
-        return LaurentSeries(self.stride, self.offset, self.valuation,
-                             self.precision, [c * x for x in self.coeffs])
+        return LaurentSeries._of(self.stride, self.offset, self.valuation, self.precision,
+                                 [c.numerator * x for x in self.nums],
+                                 c.denominator * self.den)
 
     def __truediv__(self, other: "LaurentSeries") -> "LaurentSeries":
         """Quotient h with other*h = self, on the window of self * other.invert().
@@ -305,28 +332,30 @@ class LaurentSeries:
         one exact integer dot product per coefficient. It beats a Newton
         inverse followed by a Kronecker product when the quotient's
         coefficients grow along the series, because Kronecker substitution
-        pads every packed limb to the widest coefficient.
+        pads every packed limb to the widest coefficient. The n coefficients
+        share the denominator dn a0^n, which is 1 for a monic divisor of an
+        integral series.
         """
         f, g = self, other
-        if not g.coeffs:
+        if not g.nums:
             raise LeadingZero("cannot divide by a series with zero leading coefficient")
         s = math.gcd(f.stride, g.stride)
         f = f._reexpand(s)
         g = g._reexpand(s)
         val = f.valuation - g.valuation
         prec = min(f.precision - g.valuation, g.precision - 2 * g.valuation + f.valuation)
-        if not f.coeffs:
+        if not f.nums:
             return LaurentSeries.zero(prec, s, (f.offset - g.valuation) % s)
         n = _pp_count(val, prec, s)
-        num, dn = _clear_denominators(f._window_coeffs()[:n])
-        den, da = _clear_denominators(g._window_coeffs()[:n])
+        num = f._window_nums()[:n]
+        den = g._window_nums()[:n]
         a0 = den[0]
         w = [x * a0 ** i for i, x in enumerate(den[1:])]  # A_i a0^(i-1)
         h = []
         for k, x in enumerate(num):
             h.append(a0 ** k * x - sum(map(mul, w, reversed(h))))
-        cs = [Fraction(da * x, dn * a0 ** (k + 1)) for k, x in enumerate(h)]
-        return LaurentSeries(s, val % s, val, prec, cs)
+        cs = [g.den * x * a0 ** (n - 1 - k) for k, x in enumerate(h)]
+        return LaurentSeries._of(s, val % s, val, prec, cs, f.den * a0 ** n)
 
     def invert(self) -> "LaurentSeries":
         """Multiplicative inverse g with self*g = 1 to the available precision.
@@ -343,7 +372,7 @@ class LaurentSeries:
         if k == 0:
             # 1 + O(q^prec); a zero series (valuation = precision) does not know the 1
             prec = self.precision - self.valuation
-            return LaurentSeries(self.stride, 0, 0, prec, [Fraction(1)] if prec > 0 else [])
+            return LaurentSeries._of(self.stride, 0, 0, prec, (1,) if prec > 0 else ())
         result = None
         base = self
         while k:
@@ -361,9 +390,9 @@ class LaurentSeries:
 
     def q_derive(self) -> "LaurentSeries":
         """Apply q*d/dq: multiply the coefficient at exponent n by n."""
-        cs = [c * (self.valuation + self.stride * i) for i, c in enumerate(self.coeffs)]
-        return LaurentSeries(self.stride, self.offset, self.valuation,
-                             self.precision, cs)
+        cs = [c * (self.valuation + self.stride * i) for i, c in enumerate(self.nums)]
+        return LaurentSeries._of(self.stride, self.offset, self.valuation,
+                                 self.precision, cs, self.den)
 
     def stride_expand(self, m: int) -> "LaurentSeries":
         """Substitute q -> q^m: every exponent n becomes m*n."""
@@ -371,47 +400,57 @@ class LaurentSeries:
             raise ValueError("expansion factor must be >= 1")
         if m == 1:
             return self
-        return LaurentSeries(self.stride * m, (self.offset * m) % (self.stride * m),
-                             self.valuation * m, self.precision * m, self.coeffs)
+        return LaurentSeries._of(self.stride * m, (self.offset * m) % (self.stride * m),
+                                 self.valuation * m, self.precision * m, self.nums, self.den)
 
     def truncate(self, prec: int) -> "LaurentSeries":
         """Forget all coefficients at exponents >= prec."""
         prec = min(prec, self.precision)
         keep = _pp_count(self.valuation, prec, self.stride)
-        return LaurentSeries(self.stride, self.offset, min(self.valuation, prec),
-                             prec, self.coeffs[:max(keep, 0)])
+        return LaurentSeries._of(self.stride, self.offset, min(self.valuation, prec),
+                                 prec, self.nums[:keep], self.den)
 
     # ------------------------------------------------------------------
     # interchange format
 
     def to_json_dict(self, name: str) -> dict:
-        """Series interchange document; round-trips bit-exactly."""
+        """Series interchange document; round-trips bit-exactly. Each
+        coefficient is written reduced, as a [numerator, denominator] pair."""
+        den = self.den
+        if den == 1:
+            pairs = [[to_decimal(c), "1"] for c in self._window_nums()]
+        else:
+            pairs = []
+            for c in self._window_nums():
+                g = math.gcd(c, den)
+                pairs.append([to_decimal(c // g), to_decimal(den // g)])
         return {
             "name": name,
             "stride": self.stride,
             "offset": self.offset,
             "valuation": self.valuation,
             "precision": self.precision,
-            "coefficients": [[to_decimal(c.numerator), to_decimal(c.denominator)]
-                             for c in self._window_coeffs()],
+            "coefficients": pairs,
         }
 
-    def _window_coeffs(self) -> list[Fraction]:
-        """One coefficient per progression point in [valuation, precision)."""
+    def _window_nums(self) -> list[int]:
+        """One numerator per progression point in [valuation, precision)."""
         n = _pp_count(self.valuation, self.precision, self.stride)
-        cs = list(self.coeffs) + [_ZERO] * (n - len(self.coeffs))
-        return cs
+        return list(self.nums) + [0] * (n - len(self.nums))
 
     @classmethod
     def from_json_dict(cls, doc: dict, precision: int | None = None) -> "LaurentSeries":
         """Inverse of to_json_dict. Given a precision, the series truncated
         below it, converting only the coefficients that are kept."""
-        pairs = doc["coefficients"]
-        if precision is not None:
-            pairs = pairs[:_pp_count(doc["valuation"], precision, doc["stride"])]
-        cs = [Fraction(from_decimal(num), from_decimal(den)) for num, den in pairs]
-        series = cls(doc["stride"], doc["offset"], doc["valuation"], doc["precision"], cs)
-        return series if precision is None else series.truncate(precision)
+        stride, val = doc["stride"], doc["valuation"]
+        prec = doc["precision"] if precision is None else min(precision, doc["precision"])
+        pairs = doc["coefficients"][:_pp_count(val, prec, stride)]
+        if all(d == "1" for _, d in pairs):
+            nums, den = [from_decimal(n) for n, _ in pairs], 1
+        else:
+            nums, den = _clear_denominators((from_decimal(n), from_decimal(d))
+                                            for n, d in pairs)
+        return cls._of(stride, doc["offset"], min(val, prec), prec, nums, den)
 
     def dump(self, path, name: str) -> None:
         with open(path, "w") as fh:

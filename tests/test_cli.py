@@ -89,8 +89,10 @@ def test_cache_misses_on_a_stale_file(tmp_path, name, prec):
 
 
 @pytest.mark.parametrize("content", ['{"name": "e4", "stride": 1, "coeff',
-                                     '{"name": "e4", "stride": 1}', '[1, 2]'],
-                         ids=["truncated", "missing-keys", "not-a-dict"])
+                                     '{"name": "e4", "stride": 1}', '[1, 2]',
+                                     '{"name": "e4", "stride": 1, "offset": 0, "valuation": 0,'
+                                     ' "precision": 600, "coefficients": [["1", "0"]]}'],
+                         ids=["truncated", "missing-keys", "not-a-dict", "zero-denominator"])
 def test_cache_miss_on_an_unreadable_file(capsys, tmp_path, content):
     cache = tmp_path / "cache"
     cache.mkdir()
@@ -101,6 +103,25 @@ def test_cache_miss_on_an_unreadable_file(capsys, tmp_path, content):
     assert LaurentSeries.from_json_dict(json.loads(out)) == forms.eisenstein_e4(100)
     assert cli._cache_lookup("e4", 100) == forms.eisenstein_e4(100)
 
+
+def test_cache_entry_that_is_a_directory_is_a_miss(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    (cache / "e4__10.json").mkdir(parents=True)
+    assert cli._cache_lookup("e4", 5) is None
+    code, out, err = run(capsys, "series", "--name", "e4", "--prec", "5")
+    assert code == 0 and "Traceback" not in err
+    assert LaurentSeries.from_json_dict(json.loads(out)) == forms.eisenstein_e4(5)
+    assert cli._cache_lookup("e4", 5) == forms.eisenstein_e4(5)
+
+
+def test_cache_that_cannot_be_written_exits_2(capsys, tmp_path, monkeypatch):
+    not_a_dir = tmp_path / "plain-file"
+    not_a_dir.write_text("")
+    monkeypatch.setenv("QSPT_CACHE", str(not_a_dir))
+    code, out, err = run(capsys, "series", "--name", "e4", "--prec", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write the series cache")
+    assert not_a_dir.read_text() == ""
 
 def test_series_eta24_precision_one(capsys):
     code, out, _ = run(capsys, "series", "--name", "eta24", "--prec", "1")

@@ -38,9 +38,9 @@ def test_partition_gen24_is_eta24_inverse():
 
 def test_eisenstein_series():
     e4 = forms.eisenstein_e4(4)
-    assert e4._window_coeffs() == [1, 240, 2160, 6720]
+    assert [e4.coeff(n) for n in range(4)] == [1, 240, 2160, 6720]
     e6 = forms.eisenstein_e6(4)
-    assert e6._window_coeffs() == [1, -504, -16632, -122976]
+    assert [e6.coeff(n) for n in range(4)] == [1, -504, -16632, -122976]
 
 
 def test_delta_series():

@@ -1,6 +1,7 @@
 """Laurent series core: construction, ring laws, inversion, serialization."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -145,15 +146,20 @@ LEADS = (1, -1, 2, -3, Fraction(1, 3))
 
 
 @st.composite
-def series(draw, leads=LEADS):
-    """A series on stride 1, 2 or 24 with a chosen leading coefficient."""
+def series_args(draw, leads=LEADS):
+    """Constructor arguments of a series on stride 1, 2 or 24 with a chosen
+    leading coefficient and coefficients of mixed denominators."""
     stride = draw(st.sampled_from((1, 2, 24)))
     val = draw(st.integers(-30, 30))
     rest = draw(st.lists(st.builds(Fraction, st.integers(-60, 60), st.integers(1, 4)),
                          max_size=12))
     cs = [draw(st.sampled_from(leads))] + rest
     prec = val + stride * (len(cs) + draw(st.integers(0, 3)))
-    return LaurentSeries(stride, val % stride, val, prec, cs)
+    return stride, val % stride, val, prec, cs
+
+
+def series(leads=LEADS):
+    return series_args(leads).map(lambda args: LaurentSeries(*args))
 
 
 divisions = settings(deadline=None)
@@ -215,6 +221,93 @@ def test_zero_divisor_raises(f, stride, prec):
     with pytest.raises(LeadingZero):
         zero.invert()
 
+
+
+class Ref:
+    """Reference model of a series: one Fraction per exponent, and the stride,
+    offset and precision rules of LaurentSeries written out directly."""
+
+    def __init__(self, stride, offset, prec, terms):
+        self.stride, self.offset, self.prec = stride, offset, prec
+        self.terms = {e: Fraction(c) for e, c in terms.items() if c and e < prec}
+
+    @classmethod
+    def of(cls, stride, offset, val, prec, cs):
+        return cls(stride, offset, prec, {val + stride * i: c for i, c in enumerate(cs)})
+
+    @property
+    def val(self):
+        return min(self.terms, default=self.prec)
+
+    def c(self, e):
+        return self.terms.get(e, Fraction(0))
+
+    def doc(self):
+        coeffs = [self.c(e) for e in range(self.val, self.prec, self.stride)]
+        return {"name": "h", "stride": self.stride, "offset": self.offset,
+                "valuation": self.val, "precision": self.prec,
+                "coefficients": [[str(x.numerator), str(x.denominator)] for x in coeffs]}
+
+    def __add__(self, o):
+        s = math.gcd(self.stride, o.stride, abs(self.offset - o.offset))
+        terms = dict(self.terms)
+        for e, x in o.terms.items():
+            terms[e] = terms.get(e, 0) + x
+        return Ref(s, self.offset % s, min(self.prec, o.prec), terms)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def __sub__(self, o):
+        return self + (-o)
+
+    def __mul__(self, o):
+        terms = {}
+        for e, x in self.terms.items():
+            for d, y in o.terms.items():
+                terms[e + d] = terms.get(e + d, 0) + x * y
+        s = math.gcd(self.stride, o.stride)
+        return Ref(s, (self.offset + o.offset) % s,
+                   min(self.prec + o.val, o.prec + self.val), terms)
+
+    def scale(self, c):
+        return Ref(self.stride, self.offset, self.prec, {e: c * x for e, x in self.terms.items()})
+
+    def q_derive(self):
+        return Ref(self.stride, self.offset, self.prec, {e: e * x for e, x in self.terms.items()})
+
+    def __truediv__(self, o):
+        # long division: o * h = self, one quotient coefficient per progression point
+        s = math.gcd(self.stride, o.stride)
+        val = self.val - o.val
+        prec = min(self.prec - o.val, o.prec - 2 * o.val + self.val)
+        h = {}
+        for e in range(val, prec, s):
+            known = sum(o.c(o.val + i) * h[e - i] for i in range(s, e - val + 1, s))
+            h[e] = (self.c(e + o.val) - known) / o.c(o.val)
+        return Ref(s, (self.offset - o.offset) % s, prec, h)
+
+
+@settings(deadline=None)
+@given(series_args(leads=LEADS + (0,)), series_args(),
+       st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)))
+def test_operations_match_a_fraction_reference(fa, ga, c):
+    f, g = LaurentSeries(*fa), LaurentSeries(*ga)
+    rf, rg = Ref.of(*fa), Ref.of(*ga)
+    assert f.to_json_dict("h") == rf.doc() and g.to_json_dict("h") == rg.doc()
+    results = {"+": (f + g, rf + rg), "-": (f - g, rf - rg), "*": (f * g, rf * rg),
+               "scale": (f.scale(c), rf.scale(c)), "q_derive": (f.q_derive(), rf.q_derive()),
+               "/": (f / g, rf / rg)}
+    for op, (got, want) in results.items():
+        assert got.to_json_dict("h") == want.doc(), op
+        assert got.den > 0 and math.gcd(got.den, *got.nums) == 1, op
+    for h in (f, g, results["/"][0]):
+        doc = h.to_json_dict("h")
+        for p in {h.valuation - 1, h.valuation, (h.valuation + h.precision) // 2,
+                  h.precision - 1, h.precision, h.precision + 1}:
+            loaded = LaurentSeries.from_json_dict(doc, p)
+            assert loaded == h.truncate(p)
+            assert loaded.to_json_dict("h") == h.truncate(p).to_json_dict("h")
 
 def test_pow_negative_and_zero():
     f = dense([1, 1, 1, 1, 1, 1])
