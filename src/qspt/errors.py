@@ -21,10 +21,6 @@ class TableTooSmall(QsptError):
     """A statistic table does not reach the index required by the computation."""
 
 
-class NotInSpan(QsptError):
-    """Basis decomposition left a residual that is not O(q)."""
-
-
 class BadSupport(QsptError):
     """A series is not supported on the arithmetic progression an operator requires."""
 

@@ -3,7 +3,7 @@ Delta, j, -q dj/dq, alpha, and the partition generating function at level 24."""
 
 from __future__ import annotations
 
-from .partitions import p_table, pentagonal_terms, triangular_terms
+from .partitions import _over_euler, p_table, pentagonal_terms, triangular_terms
 from .series import LaurentSeries
 
 
@@ -60,18 +60,23 @@ def delta_series(P: int) -> LaurentSeries:
     return LaurentSeries(1, 0, 0, P - 1, cs).pow(8).shift(1)
 
 
+def _over_delta(numerator: LaurentSeries, P: int) -> LaurentSeries:
+    """numerator / Delta below q^P for a numerator of valuation 0 known below q^(P + 1):
+    q^-1 numerator / ((q;q)_inf^3)^8, eight sparse divisions by Jacobi's (q;q)_inf^3."""
+    x = numerator.nums
+    for _ in range(8):
+        x = _over_euler(P, enumerate(x), triangular_terms)
+    return LaurentSeries(1, 0, -1, P, x)
+
+
 def j_series(P: int) -> LaurentSeries:
     """j = E4^3 / Delta = q^-1 + 744 + 196884 q + ..."""
-    # a quotient by Delta, of valuation 1, is known 2 exponents short of its inputs
-    q = P + 2
-    return eisenstein_e4(q).pow(3) / delta_series(q)
+    return _over_delta(eisenstein_e4(P + 1).pow(3), P)
 
 
 def jprime_neg_series(P: int) -> LaurentSeries:
     """-q dj/dq = E4^2 E6 / Delta = q^-1 - sum n c(n) q^n."""
-    # a quotient by Delta, of valuation 1, is known 2 exponents short of its inputs
-    q = P + 2
-    return eisenstein_e4(q).pow(2) * eisenstein_e6(q) / delta_series(q)
+    return _over_delta(eisenstein_e4(P + 1).pow(2) * eisenstein_e6(P + 1), P)
 
 
 def alpha_series(P: int) -> LaurentSeries:

@@ -1,12 +1,13 @@
 """Canonical polynomial families in j: the B_m basis and the Faber polynomials,
-their evaluation at j(24 tau), and principal-part decomposition."""
+and their evaluation at j and at j(24 tau)."""
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
+from operator import add, mul
+from typing import Sequence
 
 from . import forms
-from .errors import NotInSpan
 from .series import LaurentSeries
 
 
@@ -39,25 +40,6 @@ class IntPolynomial:
     def __repr__(self):
         return f"IntPolynomial({list(self.coefficients)})"
 
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "IntPolynomial":
-        return IntPolynomial([c * x for x in self.coefficients])
-
-    def shift_up(self) -> "IntPolynomial":
-        """Multiply by x."""
-        return IntPolynomial((0,) + self.coefficients)
-
     def __call__(self, x):
         acc = 0
         for c in reversed(self.coefficients):
@@ -80,59 +62,62 @@ def _j_recurrence(seed: LaurentSeries, start: int, count: int) -> list[IntPolyno
 
     Coefficient-matching gives P_0 = 1 and
     P_{n+1} = x*P_n + s(n+start) - sum_{i=0..n} c(n-i) P_i,
-    with s the coefficients of seed and c(i) those of j."""
+    with s the coefficients of seed and c(i) those of j. The recurrence runs on
+    integer columns: the coefficient of x^k in P_{n+1} takes one dot product of
+    c(n-k), ..., c(0) with the coefficients of x^k in P_k, ..., P_n."""
     if count < 1:
         return []
-    c = forms.j_series(max(count - 1, 1))
-    ps = [IntPolynomial([1])]
+    j = forms.j_series(max(count - 1, 1))
+    c = [int(j.coeff(i)) for i in range(count - 1)]
+    rows = [[1]]
+    cols = [[1]]  # cols[k]: the coefficients of x^k in P_k, P_(k+1), ...
     for n in range(count - 1):
-        nxt = ps[-1].shift_up() + IntPolynomial([int(seed.coeff(n + start))])
-        for i in range(n + 1):
-            nxt = nxt - ps[i].scale(int(c.coeff(n - i)))
-        ps.append(nxt)
-    return ps
+        nxt = [0] + rows[-1]
+        nxt[0] += int(seed.coeff(n + start))
+        for k, col in enumerate(cols):
+            nxt[k] -= sum(map(mul, col, c[n - k::-1]))
+            col.append(nxt[k])
+        cols.append([nxt[-1]])
+        rows.append(nxt)
+    return [IntPolynomial(r) for r in rows]
 
 
 def eval_at_j24(poly: IntPolynomial, P: int) -> LaurentSeries:
-    """Horner evaluation of a polynomial at j(24 tau), truncated below P."""
+    """A polynomial evaluated at j(24 tau), truncated below P."""
     need = max(-((-P) // 24), 1) + poly.degree + 2
     j24 = forms.j_series(need).stride_expand(24)
-    return eval_at_series(poly, j24).truncate(P)
+    return eval_at_series([poly], j24)[0].truncate(P)
 
 
-def eval_at_series(poly: IntPolynomial, s: LaurentSeries) -> LaurentSeries:
-    """Horner evaluation of a polynomial at an arbitrary series argument."""
-    if not poly.coefficients:
+def eval_at_series(polys: Sequence[IntPolynomial], s: LaurentSeries) -> list[LaurentSeries]:
+    """Each polynomial evaluated at the series s, as sum c_i s^i over one table of
+    powers 1, s, ..., s^d built once for all of them (d the largest degree).
+
+    A value is known below the precision of s, or below that of s^deg where that
+    is lower (s of negative valuation), as by Horner's scheme; the zero polynomial
+    gives zero below precision(s) - valuation(s)."""
+    powers = [s.pow(0), s]
+    while len(powers) <= max((p.degree for p in polys), default=0):
+        powers.append(powers[-1] * s)
+    return [_combine(p.coefficients, powers) for p in polys]
+
+
+def _combine(cs: tuple[int, ...], powers: list[LaurentSeries]) -> LaurentSeries:
+    """sum c_i powers[i] over the coefficients cs, on the progression of the sum."""
+    s = powers[1]
+    if not cs:
         return LaurentSeries.zero(s.precision - s.valuation, s.stride, 0)
-    acc = LaurentSeries(s.stride, 0, 0, s.precision - s.valuation * poly.degree,
-                        [poly.coefficients[-1]])
-    for c in reversed(poly.coefficients[:-1]):
-        acc = acc * s
-        if c:
-            acc = acc + LaurentSeries(s.stride, 0, 0, acc.precision, [c])
-    return acc
-
-
-def basis_decompose(f: LaurentSeries, alpha: LaurentSeries,
-                    j: LaurentSeries) -> list[tuple[int, Fraction]]:
-    """Principal-part coefficients t(n) of f/alpha, so that
-    f = sum t(n) B_{-n}(j(tau)) + O(q); verifies the reconstruction.
-
-    Raises NotInSpan when the residual after subtracting the B-combination
-    is not O(q)."""
-    quotient = f / alpha
-    principal = [(e, c) for e, c in quotient.terms() if e <= -1]
-    if not principal:
-        if any(e <= 0 for e, _ in f.terms()):
-            raise NotInSpan("nonpositive part of f is not alpha-spanned")
-        return []
-    depth = -min(e for e, _ in principal)
-    bs = b_polynomials(depth)
-    recon = None
-    for e, c in principal:
-        term = eval_at_series(bs[-e - 1], j).scale(c)
-        recon = term if recon is None else recon + term
-    residual = f - recon
-    if any(e <= 0 for e, c in residual.terms()):
-        raise NotInSpan("residual after B-decomposition is not O(q)")
-    return [(e, c) for e, c in principal]
+    prec = min(s.precision, powers[max(len(cs) - 1, 1)].precision)
+    terms = [(c, powers[i]) for i, c in enumerate(cs) if c]
+    top = powers[len(cs) - 1]
+    stride = math.gcd(s.stride, *(t.offset - top.offset for _, t in terms))
+    val = min(t.valuation for _, t in terms)
+    den = math.lcm(*(t.den for _, t in terms))
+    n = -((val - prec) // stride)
+    out = [0] * n
+    for c, t in terms:
+        k = (t.valuation - val) // stride
+        step = t.stride // stride
+        end = k + step * len(t.nums)  # the slice stops at n, and map with it
+        out[k:end:step] = map(add, out[k:end:step], map((c * (den // t.den)).__mul__, t.nums))
+    return LaurentSeries(stride, val % stride, val, prec, out, den)

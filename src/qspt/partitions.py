@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .arith import legendre, require_hecke_prime
 from .errors import EnumerationLimit, TableTooSmall, UnknownCheck
@@ -47,25 +47,35 @@ def triangular_terms(limit: int) -> list[tuple[int, int]]:
     return out
 
 
-def _over_euler(N: int, kernel: Iterable[tuple[int, int]]) -> list[int]:
-    """x(0..N) solving (q;q)_inf X = sum w q^e over the (e, w) pairs of kernel
-    (0 <= e <= N), i.e. P(q) times that sparse series, by the recurrence
-    x[n] = kernel[n] - sum_{0 < g <= n} s_g x[n - g] over the terms s_g q^g
-    of (q;q)_inf."""
+def _over_euler(N: int, kernel: Iterable[tuple[int, int]],
+                divisor: Callable[[int], list[tuple[int, int]]] = pentagonal_terms) -> list[int]:
+    """x(0..N) solving D(q) X = sum w q^e over the (e, w) pairs of kernel
+    (0 <= e <= N), where D = sum d_g q^g, d_0 = 1, has the sparse terms that
+    divisor(N + 1) lists: pentagonal_terms for D = (q;q)_inf, so that X is P(q)
+    times the kernel, or triangular_terms for D = (q;q)_inf^3. The recurrence is
+    x[n] = kernel[n] - sum_{0 < g <= n} d_g x[n - g]."""
     x = [0] * (N + 1)
     for e, w in kernel:
         x[e] += w
-    # the g with s_g = -1 add, the others subtract; each g joins when n reaches it
-    add, sub = [], []
-    pents = [(g, s) for g, s in pentagonal_terms(N + 1) if g > 0] + [(N + 1, 0)]
-    for (g, s), (end, _) in zip(pents, pents[1:]):
-        (add if s < 0 else sub).append(g)
+    # the g with d_g = -1 add and those with d_g = 1 subtract, with no multiply;
+    # any other d_g is scaled; each g joins when n reaches it
+    add, sub, scaled = [], [], []
+    terms = [(g, d) for g, d in divisor(N + 1) if g > 0] + [(N + 1, 0)]
+    for (g, d), (end, _) in zip(terms, terms[1:]):
+        if d == -1:
+            add.append(g)
+        elif d == 1:
+            sub.append(g)
+        else:
+            scaled.append((g, d))
         for n in range(g, end):
             acc = x[n]
             for h in add:
                 acc += x[n - h]
             for h in sub:
                 acc -= x[n - h]
+            for h, c in scaled:
+                acc -= c * x[n - h]
             x[n] = acc
     return x
 
@@ -199,32 +209,33 @@ def ts_sum_bruteforce(n: int) -> int:
     return total
 
 
-def _distinct_partitions(total: int, maxpart: int) -> Iterator[list[int]]:
-    if total == 0:
-        yield []
-        return
-    for first in range(min(total, maxpart), 0, -1):
-        if first * (first + 1) < 2 * total:
-            break  # distinct parts up to first sum to at most first(first+1)/2
-        for rest in _distinct_partitions(total - first, first - 1):
+def _distinct_parts(limit: int, maxpart: int) -> Iterator[list[int]]:
+    """Every set of distinct parts <= maxpart with sum <= limit, as a descending list."""
+    yield []
+    for first in range(min(limit, maxpart), 0, -1):
+        for rest in _distinct_parts(limit - first, first - 1):
             yield [first] + rest
 
 
-def ustar_bruteforce(n: int) -> int:
-    """Even-rank minus odd-rank count of strongly unimodal sequences of size n.
+def ustar_bruteforce(N: int) -> list[int]:
+    """u*(0..N), where u*(n) is the even-rank minus odd-rank count of the strongly
+    unimodal sequences of size n.
 
     A sequence is a strictly increasing run up to a peak followed by a strictly
     decreasing run; its rank is (terms after the peak) - (terms before it)."""
-    enumeration_guard("unimodal", n)
-    total = 0
-    for peak in range(1, n + 1):
-        rem = n - peak
-        # (-1)^rank = (-1)^len(asc) * (-1)^len(desc), so the sum over pairs of
-        # runs with sizes (t, rem - t) is S[t] * S[rem - t], where S[t] is the
-        # signed count of the distinct partitions of t with parts below peak
-        S = [sum(-1 if len(run) % 2 else 1 for run in _distinct_partitions(t, peak - 1))
-             for t in range(rem + 1)]
-        total += sum(S[t] * S[rem - t] for t in range(rem + 1))
+    enumeration_guard("unimodal", N)
+    total = [0] * (N + 1)
+    for peak in range(1, N + 1):
+        rem = N - peak
+        # (-1)^rank = (-1)^len(asc) * (-1)^len(desc), so the sum over pairs of runs
+        # with sizes (t, m - t) is S[t] * S[m - t], where S[t] is the signed count of
+        # the runs of distinct parts below peak with sum t; each run is enumerated
+        # once, for every size up to N - peak
+        S = [0] * (rem + 1)
+        for run in _distinct_parts(rem, peak - 1):
+            S[sum(run)] += -1 if len(run) % 2 else 1
+        for m in range(rem + 1):
+            total[peak + m] += sum(S[t] * S[m - t] for t in range(m + 1))
     return total
 
 

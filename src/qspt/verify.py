@@ -45,8 +45,9 @@ def verify_eq17(max_n: int) -> VerificationReport:
     rep = VerificationReport(check="eq17", parameters={"max_n": max_n},
                              window=(1, max_n + 1))
     tables = partitions.stat_tables(max_n)
+    ustar = partitions.ustar_bruteforce(max_n)
     for n in range(1, max_n + 1):
-        rep.record(n, partitions.ustar_bruteforce(n), tables.ustar[n])
+        rep.record(n, ustar[n], tables.ustar[n])
     rep.runtime_ms = int((time.monotonic() - t0) * 1000)
     return rep
 
@@ -100,11 +101,11 @@ def verify_internal_identities(ncoeffs: int = 500, poly_max: int = 30) -> Verifi
     rep.record(1, alpha.coeff(0), 0)
     rep.record(1, alpha.coeff(1), 1)
     rep.details.append("alpha = q + O(q^2): checked")
-    bs = jbasis.b_polynomials(poly_max)
-    js = jbasis.faber_polynomials(poly_max)
+    # B_1..B_poly_max and J_1..J_poly_max, all evaluated from one table of powers of j
+    values = jbasis.eval_at_series(jbasis.b_polynomials(poly_max)
+                                   + jbasis.faber_polynomials(poly_max)[1:], j)
     for n in range(1, poly_max + 1):
-        bj = jbasis.eval_at_series(bs[n - 1], j)
-        jn = jbasis.eval_at_series(js[n], j)
+        bj, jn = values[n - 1], values[poly_max + n - 1]
         rep.compare(bj, alpha.shift(-n), hi=1, tag=f"B_{n}(j) = alpha q^-{n} + O(q)")
         rep.compare(alpha * jn, bj, hi=1, tag=f"alpha J_{n}(j) = B_{n}(j) + O(q)")
         rep.compare(jn, LaurentSeries(1, 0, -n, 1, [1]), hi=1, tag=f"J_{n}(j) = q^-{n} + O(q)")

@@ -221,6 +221,16 @@ def test_verify_perturbed_tables_exit_one(capsys, perturbed):
     assert [m["exponent"] for m in doc["mismatches"]] == [1, 2, 3, 6, 8, 13, 16]
 
 
+def test_verify_internal_identities_perturbed_j_exit_one(capsys, perturbed_j):
+    perturbed_j(100)  # past the 32 coefficients of j that the basis chain reads
+    code, out, _ = run(capsys, "verify", "internal_identities")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "fail"
+    assert [m["exponent"] for m in doc["mismatches"]] == list(range(100, 500))
+    assert "j * Delta = E4^3: MISMATCH" in doc["details"]
+
+
 def test_verify_thm1_3_enumeration_guard_exit_two(capsys):
     code, out, err = run(capsys, "verify", "thm1_3", "--max-n", "61")
     assert (code, out) == (2, "")

@@ -54,6 +54,16 @@ def test_delta_equals_eta_power_24():
     assert d.agrees_with(eta24)
 
 
+@given(st.integers(0, 90))
+def test_j_and_jprime_neg_equal_division_by_delta(P):
+    # the sparse divisions by (q;q)_inf^3 against the dense division by Delta
+    q = P + 2  # a quotient by Delta, of valuation 1, is known 2 exponents short
+    e4, e6, delta = forms.eisenstein_e4(q), forms.eisenstein_e6(q), forms.delta_series(q)
+    assert forms.j_series(P).to_json_dict("j") == (e4.pow(3) / delta).to_json_dict("j")
+    assert (forms.jprime_neg_series(P).to_json_dict("jp")
+            == (e4.pow(2) * e6 / delta).to_json_dict("jp"))
+
+
 def test_j_series_display():
     j = forms.j_series(4)
     assert [j.coeff(n) for n in range(-1, 4)] == [

@@ -1,22 +1,23 @@
 """Polynomial bases in j: displayed values, structure, generating identities,
-and principal-part decomposition."""
+and their evaluation at a series argument."""
 
 from fractions import Fraction
 
-import pytest
+import hypothesis
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qspt import forms, jbasis
-from qspt.errors import NotInSpan
 from qspt.jbasis import IntPolynomial
+from qspt.series import LaurentSeries
 
 
 def test_int_polynomial_basics():
     p = IntPolynomial([1, 2, 3])
     q = IntPolynomial([0, 0, 0, 5])
     assert p.degree == 2 and q.degree == 3
-    assert (p + q).coefficients == (1, 2, 3, 5)
-    assert (p - p).coefficients == ()
-    assert p.shift_up().coefficients == (0, 1, 2, 3)
+    assert IntPolynomial([1, 2, 3, 0, 0]).coefficients == (1, 2, 3)
+    assert IntPolynomial([0, 0]).coefficients == () and IntPolynomial([]).degree == -1
     assert p(10) == 321
     assert p(Fraction(1, 2)) == Fraction(11, 4)
 
@@ -49,7 +50,6 @@ def test_b_generating_identity_at_sample_points():
     j = forms.j_series(M)
     euler = forms.euler_series(M)
     bs = jbasis.b_polynomials(M)
-    from qspt.series import LaurentSeries
     for x0 in (0, 1, -3, 7, 744):
         gen = LaurentSeries.from_terms(
             {m: b(x0) for m, b in enumerate(bs, start=1)}, M, stride=1, offset=0)
@@ -69,7 +69,6 @@ def test_faber_generating_identity_at_sample_points():
     j = forms.j_series(M)
     d = forms.jprime_neg_series(M)
     js = jbasis.faber_polynomials(M)
-    from qspt.series import LaurentSeries
     for x0 in (0, 2, -5):
         gen = LaurentSeries.from_terms(
             {m: p(x0) for m, p in enumerate(js) if p(x0)}, M, stride=1, offset=0)
@@ -93,45 +92,53 @@ def test_eval_at_series_matches_horner():
     p = jbasis.b_polynomials(4)[3]
     direct = (j * j * j + j * j * p.coefficients[2]
               + j * p.coefficients[1] + forms.j_series(12).pow(0) * p.coefficients[0])
-    assert jbasis.eval_at_series(p, j).agrees_with(direct)
+    [value] = jbasis.eval_at_series([p], j)
+    assert value.agrees_with(direct)
 
 
-def test_basis_decompose_round_trip():
-    P = 40
-    j = forms.j_series(P)
-    alpha = forms.alpha_series(P)
-    bs = jbasis.b_polynomials(3)
-    target = (jbasis.eval_at_series(bs[2], j).scale(Fraction(-5, 12))
-              + jbasis.eval_at_series(bs[0], j).scale(7))
-    got = jbasis.basis_decompose(target, alpha, j)
-    assert got == [(-3, Fraction(-5, 12)), (-1, Fraction(7))]
+def _horner(poly, s):
+    """poly(s) by Horner's rule: the reference for the power-table evaluation,
+    including the precision it assigns."""
+    if not poly.coefficients:
+        return LaurentSeries.zero(s.precision - s.valuation, s.stride, 0)
+    acc = LaurentSeries(s.stride, 0, 0, s.precision - s.valuation * poly.degree,
+                        [poly.coefficients[-1]])
+    for c in reversed(poly.coefficients[:-1]):
+        acc = acc * s
+        if c:
+            acc = acc + LaurentSeries(s.stride, 0, 0, acc.precision, [c])
+    return acc
 
 
-def test_basis_decompose_spec_examples():
-    P = 40
-    j = forms.j_series(P)
-    alpha = forms.alpha_series(P)
-    b3 = jbasis.eval_at_series(jbasis.b_polynomials(3)[2], j)
-    assert jbasis.basis_decompose(b3, alpha, j) == [(-3, Fraction(1))]
-    f5 = jbasis.eval_at_series(jbasis.b_polynomials(1)[0], j).scale(
-        Fraction(-5, 12))
-    assert jbasis.basis_decompose(f5, alpha, j) == [(-1, Fraction(-5, 12))]
+@st.composite
+def arguments_and_polynomials(draw):
+    """A series argument of valuation -1, 0 or positive, stride 1 or 24 and
+    denominator 1 or not, and polynomials (zero and constant among them) whose
+    Horner value is defined."""
+    stride = draw(st.sampled_from((1, 24)))
+    val = draw(st.sampled_from((-1, 0, 1, 2))) * draw(st.sampled_from((1, stride)))
+    nums = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=6))
+    nums[0] = draw(st.integers(1, 9)) * draw(st.sampled_from((1, -1)))
+    length = (len(nums) - 1) * stride + 1 + draw(st.integers(0, stride - 1))
+    s = LaurentSeries(stride, val % stride, val, val + length, nums,
+                      draw(st.sampled_from((1, 1, 3, 4))))
+    polys = draw(st.lists(st.lists(st.integers(-30, 30), max_size=6), min_size=1, max_size=5))
+    polys = [IntPolynomial(cs) for cs in polys]
+    # Horner's rule builds its top coefficient below precision - val * degree and
+    # its value below precision + (degree - 1) * min(val, 0); both must be positive
+    hypothesis.assume(all(s.precision - max(val, 0) * p.degree >= 1 and
+                          s.precision + (p.degree - 1) * min(val, 0) >= 1 for p in polys))
+    return s, polys
 
 
-def test_basis_decompose_rejects_nonspan():
-    # a wrong alpha makes the reconstruction residual keep a principal part
-    P = 40
-    j = forms.j_series(P)
-    alpha = forms.alpha_series(P)
-    b3 = jbasis.eval_at_series(jbasis.b_polynomials(3)[2], j)
-    with pytest.raises(NotInSpan):
-        jbasis.basis_decompose(b3, alpha.scale(2), j)
+@given(arguments_and_polynomials())
+# 1, s and s^2 lie on three progressions mod 24, and s is known past s^2
+@example((LaurentSeries(24, 23, -1, 48, [1, 2, 3]),
+          [IntPolynomial([1, 1, 1]), IntPolynomial([0, 5, 0, 1])]))
+# both bases at j, as the internal identities evaluate them
+@example((forms.j_series(12), jbasis.b_polynomials(8) + jbasis.faber_polynomials(8)))
+def test_power_table_evaluation_matches_horner(case):
+    s, polys = case
+    got = jbasis.eval_at_series(polys, s)
+    assert [g.to_json_dict("v") for g in got] == [_horner(p, s).to_json_dict("v") for p in polys]
 
-
-def test_basis_decompose_holomorphic_without_pole():
-    P = 30
-    j = forms.j_series(P)
-    alpha = forms.alpha_series(P)
-    from qspt.series import LaurentSeries
-    assert jbasis.basis_decompose(
-        LaurentSeries(1, 0, 1, P, [Fraction(5)]), alpha, j) == []

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qspt import partitions as pt
 from qspt.errors import EnumerationLimit, TableTooSmall
-from qspt.series import convolve
+from qspt.series import LaurentSeries, convolve
 
 
 def test_p_table_values():
@@ -53,6 +53,21 @@ def test_over_euler_is_p_times_the_kernel(case):
     for e, w in kernel:
         dense[e] += w
     assert pt._over_euler(N, kernel) == convolve(_p_by_parts(N), dense, N + 1)
+
+
+@given(sparse_kernels(), st.sampled_from((pt.pentagonal_terms, pt.triangular_terms)))
+def test_sparse_division_equals_series_division(case, divisor):
+    # (q;q)_inf or (q;q)_inf^3 from its sparse terms, divided out by LaurentSeries /
+    N, kernel = case
+    dense = [0] * (N + 1)
+    for e, w in kernel:
+        dense[e] += w
+    d = [0] * (N + 1)
+    for g, c in divisor(N + 1):
+        d[g] = c
+    quotient = LaurentSeries(1, 0, 0, N + 1, dense) / LaurentSeries(1, 0, 0, N + 1, d)
+    assert quotient.precision == N + 1
+    assert [quotient.coeff(n) for n in range(N + 1)] == pt._over_euler(N, kernel, divisor)
 
 
 def test_spt_bruteforce_matches_table():
@@ -163,8 +178,13 @@ def test_ustar_values(tables):
 
 
 def test_ustar_bruteforce_matches(tables):
-    for n in range(1, 19):
-        assert pt.ustar_bruteforce(n) == tables.ustar[n]
+    assert pt.ustar_bruteforce(18) == list(tables.ustar[:19])
+
+
+def _runs(total, maxpart):
+    """Every set of distinct parts <= maxpart with the given sum, by itertools."""
+    return [c for r in range(maxpart + 1)
+            for c in combinations(range(1, maxpart + 1), r) if sum(c) == total]
 
 
 def _ustar_by_pairs(n):
@@ -174,8 +194,8 @@ def _ustar_by_pairs(n):
     for peak in range(1, n + 1):
         rem = n - peak
         for m1 in range(rem + 1):
-            before = list(pt._distinct_partitions(m1, peak - 1))
-            after = list(pt._distinct_partitions(rem - m1, peak - 1))
+            before = _runs(m1, peak - 1)
+            after = _runs(rem - m1, peak - 1)
             for asc in before:
                 for desc in after:
                     rank = len(desc) - len(asc)
@@ -185,15 +205,19 @@ def _ustar_by_pairs(n):
 
 def test_distinct_partitions_are_every_set_of_distinct_parts():
     for maxpart in range(9):
-        for total in range(40):
-            want = sorted(c[::-1] for r in range(maxpart + 1)
-                          for c in combinations(range(1, maxpart + 1), r) if sum(c) == total)
-            assert sorted(map(tuple, pt._distinct_partitions(total, maxpart))) == want
+        for limit in range(40):
+            want = sorted(c[::-1] for total in range(limit + 1) for c in _runs(total, maxpart))
+            assert sorted(map(tuple, pt._distinct_parts(limit, maxpart))) == want
 
 
 def test_ustar_bruteforce_matches_pair_loop():
-    for n in range(0, 19):
-        assert pt.ustar_bruteforce(n) == _ustar_by_pairs(n)
+    assert pt.ustar_bruteforce(18) == [_ustar_by_pairs(n) for n in range(19)]
+
+
+def test_ustar_bruteforce_windows_agree():
+    # u*(n) does not depend on the window it is enumerated in
+    for N in range(19):
+        assert pt.ustar_bruteforce(N) == pt.ustar_bruteforce(18)[:N + 1]
 
 
 def test_ustar_matches_unimodal_rank_series(tables):

@@ -88,6 +88,20 @@ def test_internal_identities_chain_past_the_window():
     assert verify.verify_internal_identities(ncoeffs=5, poly_max=30).passed
 
 
+def test_internal_identities_fail_at_a_perturbed_coefficient_of_j(perturbed_j):
+    # past the poly_max + 2 coefficients the basis chain reads, a wrong c(40)
+    # shows in -q dj/dq at q^40 and in j * Delta = E4^3 from q^41 on, where
+    # q^40 Delta starts; every other identity still holds
+    perturbed_j(40)
+    rep = verify.verify_internal_identities(ncoeffs=60, poly_max=6)
+    assert rep.status == "fail"
+    assert [m.exponent for m in rep.mismatches] == list(range(40, 60))
+    first = rep.mismatches[1]
+    assert first.lhs - first.rhs == 1  # the coefficient of q^1 in Delta
+    assert [d for d in rep.details if d.endswith("MISMATCH")] == [
+        "-q dj/dq = E4^2 E6/Delta: MISMATCH", "j * Delta = E4^3: MISMATCH"]
+
+
 @pytest.mark.parametrize("verifier, column, index, exponents", [
     (partial(verify.verify_thm1_2, max_n=20), "spt", 24, [1, 2, 3, 6, 8, 13, 16]),
     (partial(verify.verify_thm1_2, max_n=20), "p", 49, [2, 3, 4, 7, 9, 14, 17]),
