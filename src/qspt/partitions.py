@@ -8,7 +8,6 @@ size guard.
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -359,17 +358,17 @@ def c_formula(n: int, tables: StatTables) -> Fraction:
     return total / n
 
 
-def spt_from_ustar(tables: StatTables) -> list[int]:
-    """The spt column rebuilt as 2a - u*."""
-    return [2 * a - u for a, u in zip(tables.a, tables.ustar)]
+def tables_via_ustar(tables: StatTables) -> StatTables:
+    """The tables with their spt column rebuilt as 2a - u*, which the Corollary 1.5
+    checks read in place of spt."""
+    return replace(tables, spt=tuple(2 * a - u for a, u in zip(tables.a, tables.ustar)))
 
 
 def c1_c2_decompositions(tables: StatTables) -> list[str]:
     """Itemized reconstruction of the displayed c(1) and c(2) splittings,
     first through spt, then through 2a - u* with its spt terms parenthesized."""
     tables.require(49)
-    via_ustar = replace(tables, spt=tuple(spt_from_ustar(tables)))
-    return _c1_c2_lines(tables, "{}") + _c1_c2_lines(via_ustar, "({})")
+    return _c1_c2_lines(tables, "{}") + _c1_c2_lines(tables_via_ustar(tables), "({})")
 
 
 def _c1_c2_lines(tables: StatTables, fmt: str) -> list[str]:
@@ -415,7 +414,6 @@ def check_congruences(family: str, max_n: int, ell: int = 5, m: int = 1,
     indices), 'all' (every family at its defaults)."""
     if family in ("eq5", "eq6", "cor1_4", "all"):
         require_hecke_prime(ell)
-    t0 = time.monotonic()
     rep = VerificationReport(check=f"congruences:{family}",
                              parameters={"max_n": max_n, "ell": ell, "m": m,
                                          "sign_convention": sign},
@@ -454,5 +452,4 @@ def check_congruences(family: str, max_n: int, ell: int = 5, m: int = 1,
             rep.details.extend(f"{sub}: {d}" for d in r.details or [r.status])
     else:
         raise UnknownCheck(f"unknown congruence family {family!r}")
-    rep.runtime_ms = int((time.monotonic() - t0) * 1000)
     return rep

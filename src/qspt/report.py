@@ -30,7 +30,7 @@ class VerificationReport:
     parameters: dict = field(default_factory=dict)
     window: tuple[int, int] = (0, 0)
     mismatches: list[Mismatch] = field(default_factory=list)
-    runtime_ms: int = 0
+    runtime_ms: int = 0  # set by cli.cmd_verify around run_check
     details: list[str] = field(default_factory=list)
 
     @property

@@ -231,6 +231,15 @@ def test_verify_internal_identities_perturbed_j_exit_one(capsys, perturbed_j):
     assert "j * Delta = E4^3: MISMATCH" in doc["details"]
 
 
+def test_verify_thm1_1_perturbed_j_exit_one(capsys, perturbed_j):
+    perturbed_j(1)
+    code, out, _ = run(capsys, "verify", "thm1_1", "--ell", "5", "--window", "240")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "fail"
+    assert [m["exponent"] for m in doc["mismatches"]] == list(range(23, 240, 24))
+
+
 def test_verify_thm1_3_enumeration_guard_exit_two(capsys):
     code, out, err = run(capsys, "verify", "thm1_3", "--max-n", "61")
     assert (code, out) == (2, "")

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qspt import forms, hecke
+from qspt import forms, hecke, jbasis
 from qspt.errors import BadModulus, BadSupport
 from qspt.hecke import HeckeContext
 from qspt.series import LaurentSeries
@@ -74,6 +74,21 @@ def test_m_ell_matches_the_operator_definition(ell, P):
     by_definition = hecke.hecke_t(mp, ctx) - mp.truncate(P).scale(ctx.eps3 * (1 + ell))
     name = f"m_ell:{ell}"
     assert hecke.m_ell(ctx, P).to_json_dict(name) == by_definition.to_json_dict(name)
+    # the closed-form side against its construction by series products: -q dj/dq from
+    # E4^2 E6, B_delta at a second j, and P(q) from partition_gen24 by Kronecker product
+    assert (hecke.r_ell_series(ctx, P).to_json_dict("r")
+            == _r_ell_by_products(ctx, P).to_json_dict("r"))
+    by_products = (forms.partition_gen24(P + 24 * ctx.delta_ell + 48)
+                   * _r_ell_by_products(ctx, P + 24)).scale(Fraction(ell, 12)).truncate(P)
+    assert (hecke.m_ell_closed_form(ctx, P).to_json_dict(name)
+            == by_products.to_json_dict(name))
+
+
+def _r_ell_by_products(ctx, P):
+    nmax = -(-P // 24) + 2
+    jp24 = forms.jprime_neg_series(nmax + ctx.delta_ell + 2).stride_expand(24)
+    beval = jbasis.eval_at_j24(jbasis.b_polynomials(ctx.delta_ell)[-1], 24 * (nmax + 2))
+    return ((-jp24) * beval).truncate(P)
 
 
 def test_m_ell_principal_parts():
@@ -122,6 +137,15 @@ def test_thm11_fails_at_corrupted_exponent(perturbed):
     rep = hecke.verify_thm11(HeckeContext(5), 120)
     assert rep.status == "fail"
     assert [m.exponent for m in rep.mismatches] == [71]
+
+
+@pytest.mark.parametrize("exponent, first", [(1, 23), (3, 71)])
+def test_thm11_fails_where_a_perturbed_j_reaches_the_closed_form(perturbed_j, exponent, first):
+    # B_1 = 1 at ell = 5, so the bump reaches the closed form through q dj/dq alone:
+    # c(k) + 1 adds k q^(24k) to r_5, and P(q) spreads it to every exponent from 24k - 1 on
+    perturbed_j(exponent)
+    rep = hecke.verify_thm11(HeckeContext(5), 240)
+    assert [m.exponent for m in rep.mismatches] == list(range(first, 240, 24))
 
 
 def test_verify_mod_ell_non_integral_fails(perturbed):
