@@ -31,11 +31,13 @@ def cache_dir() -> str:
 
 def _cache_lookup(name: str, precision: int) -> LaurentSeries | None:
     d = cache_dir()
-    if not os.path.isdir(d):
-        return None
+    try:
+        entries = os.listdir(d)
+    except OSError:
+        return None  # no cache directory, or one that cannot be listed
     prefix = name.replace(":", "_") + "__"
     best = None
-    for fn in os.listdir(d):
+    for fn in entries:
         if fn.startswith(prefix) and fn.endswith(".json"):
             try:
                 prec = int(fn[len(prefix):-5])
@@ -99,15 +101,23 @@ def build_series(name: str, precision: int) -> LaurentSeries:
     return series
 
 
+def _emit(doc: str, out: str | None) -> None:
+    """Print doc, or write it to the file out; a file that cannot be written is a QsptError."""
+    if not out:
+        print(doc)
+        return
+    try:
+        with open(out, "w") as fh:
+            fh.write(doc + "\n")
+    except OSError as exc:
+        raise QsptError(f"cannot write {out!r}: {exc}") from exc
+
+
 def cmd_series(args) -> int:
     series = build_series(args.name, args.prec)
-    doc = json.dumps(series.to_json_dict(args.name))
+    _emit(json.dumps(series.to_json_dict(args.name)), args.out)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(doc + "\n")
         print(f"wrote {args.name} (prec {args.prec}) to {args.out}", file=sys.stderr)
-    else:
-        print(doc)
     return 0
 
 
@@ -128,11 +138,7 @@ def cmd_table(args) -> int:
         doc = json.dumps([{"n": n, "value": str(v)} for n, v in values])
     else:
         doc = "n,value\n" + "\n".join(f"{n},{v}" for n, v in values)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(doc + "\n")
-    else:
-        print(doc)
+    _emit(doc, args.out)
     return 0
 
 

@@ -18,10 +18,7 @@ def euler_series(P: int) -> LaurentSeries:
 def eta24_series(P: int) -> LaurentSeries:
     """eta(24 tau) = q * (q^24; q^24)_inf, a stride-24 offset-1 series."""
     n = max(0, -((1 - P) // 24))
-    cs = [0] * n
-    for g, s in pentagonal_terms(n):
-        cs[g] = s
-    return LaurentSeries(24, 1, 1, P, cs)
+    return euler_series(n).stride_expand(24).shift(1).truncate(P)
 
 
 def partition_gen24(P: int) -> LaurentSeries:

@@ -9,7 +9,7 @@ from fractions import Fraction
 from . import forms, jbasis
 from .arith import legendre, require_hecke_prime
 from .errors import BadSupport
-from .partitions import _over_euler, mell_weight, mplus_weight, stat_tables
+from .partitions import _over_euler, mell_terms, mell_weight, mplus_weight, stat_tables
 from .report import VerificationReport
 from .series import LaurentSeries
 
@@ -80,7 +80,7 @@ def m_ell(ctx: HeckeContext, P: int) -> LaurentSeries:
     """M_ell = M+ | T(ell^2) - (3|ell)(1+ell) M+ below q^P, read from the tables through
     partitions.mell_weight; hecke_t applied to m_plus gives the same series."""
     ell, delta, kmax = ctx.ell, ctx.delta_ell, P // 24
-    tables = stat_tables(max(ell * ell * kmax - delta, 0))
+    tables = stat_tables(max(mell_terms(ell, kmax)[0][1], 0))  # the deepest row read
     cs = [mell_weight(tables, ell, k) for k in range(-delta, kmax + 1)]
     return LaurentSeries(24, 23, -ell * ell, P, cs, 12)
 

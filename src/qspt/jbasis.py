@@ -4,10 +4,10 @@ and their evaluation at j and at j(24 tau)."""
 from __future__ import annotations
 
 import math
-from operator import add, mul
+from operator import mul
 from typing import Sequence
 
-from . import forms
+from . import forms, series
 from .series import LaurentSeries
 
 
@@ -111,13 +111,4 @@ def _combine(cs: tuple[int, ...], powers: list[LaurentSeries]) -> LaurentSeries:
     terms = [(c, powers[i]) for i, c in enumerate(cs) if c]
     top = powers[len(cs) - 1]
     stride = math.gcd(s.stride, *(t.offset - top.offset for _, t in terms))
-    val = min(t.valuation for _, t in terms)
-    den = math.lcm(*(t.den for _, t in terms))
-    n = -((val - prec) // stride)
-    out = [0] * n
-    for c, t in terms:
-        k = (t.valuation - val) // stride
-        step = t.stride // stride
-        end = k + step * len(t.nums)  # the slice stops at n, and map with it
-        out[k:end:step] = map(add, out[k:end:step], map((c * (den // t.den)).__mul__, t.nums))
-    return LaurentSeries(stride, val % stride, val, prec, out, den)
+    return series._combine(terms, stride, prec)

@@ -344,8 +344,9 @@ def mell_weight(tables: StatTables, ell: int, k: int) -> int:
 
 
 def c_formula_tables(max_n: int) -> StatTables:
-    """The process tables through row 25 max_n - 1, the deepest c_formula(n <= max_n) reads."""
-    return stat_tables(25 * max_n - 1)
+    """The process tables through the deepest row c_formula(n <= max_n) reads: the first
+    row of mell_terms(5, max_n)."""
+    return stat_tables(mell_terms(5, max_n)[0][1])
 
 
 def c_formula(n: int, tables: StatTables) -> Fraction:

@@ -8,8 +8,6 @@ from fractions import Fraction
 from .arith import fraction_str
 from .errors import OutOfPrecision
 
-_ZERO = Fraction(0)
-
 
 @dataclass
 class Mismatch:
@@ -50,6 +48,7 @@ class VerificationReport:
                 tag: str | None = None) -> bool:
         """Record both series coefficientwise over [lo, hi); True if they agree.
 
+        The mismatches are the nonzero coefficients of lhs - rhs in the window;
         lo defaults to the lowest exponent present and hi to the jointly
         known window; an hi past that window raises OutOfPrecision. With a
         tag, a "<tag>: ok|MISMATCH" detail line is appended."""
@@ -58,11 +57,10 @@ class VerificationReport:
             hi = known
         elif hi > known:
             raise OutOfPrecision(f"comparison below {hi} requested, known below {known}")
-        a = {e: c for e, c in lhs.terms() if (lo is None or e >= lo) and e < hi}
-        b = {e: c for e, c in rhs.terms() if (lo is None or e >= lo) and e < hi}
         before = len(self.mismatches)
-        for e in sorted(set(a) | set(b)):
-            self.record(e, a.get(e, _ZERO), b.get(e, _ZERO))
+        for e, _ in (lhs.truncate(hi) - rhs.truncate(hi)).terms():
+            if lo is None or e >= lo:
+                self.record(e, lhs.coeff(e), rhs.coeff(e))
         ok = len(self.mismatches) == before
         if tag is not None:
             self.details.append(f"{tag}: {'ok' if ok else 'MISMATCH'}")

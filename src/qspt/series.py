@@ -17,7 +17,7 @@ import json
 import math
 from fractions import Fraction
 from operator import add, mul
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .arith import fraction_str, from_decimal, to_decimal
 from .errors import LeadingZero, OutOfPrecision
@@ -89,6 +89,23 @@ def _clear_denominators(pairs: Iterable[tuple[int, int]]) -> tuple[list[int], in
     pairs = list(pairs)
     d = math.lcm(*(e for _, e in pairs))
     return [n * (d // e) for n, e in pairs], d
+
+
+def _combine(terms: Sequence[tuple[int, "LaurentSeries"]], stride: int,
+             prec: int) -> "LaurentSeries":
+    """sum c*f over the (c, f) pairs, integers c, below prec on the progression of
+    the given stride through the lowest valuation; every f.stride is a multiple
+    of stride and every f.valuation lies on that progression. Each f is added
+    by one strided slice over the lcm of the denominators."""
+    val = min(f.valuation for _, f in terms)
+    den = math.lcm(*(f.den for _, f in terms))
+    out = [0] * _pp_count(val, prec, stride)
+    for c, f in terms:
+        k = (f.valuation - val) // stride
+        step = f.stride // stride
+        end = k + step * len(f.nums)  # the slice stops at len(out), and map with it
+        out[k:end:step] = map(add, out[k:end:step], map((c * (den // f.den)).__mul__, f.nums))
+    return LaurentSeries._of(stride, val % stride, val, prec, out, den)
 
 
 class LaurentSeries:
@@ -225,8 +242,7 @@ class LaurentSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        return (self.precision == other.precision
-                and dict(self.terms()) == dict(other.terms()))
+        return self.precision == other.precision and not (self - other).nums
 
     def __hash__(self):
         return hash((self.precision, tuple(self.terms())))
@@ -271,24 +287,12 @@ class LaurentSeries:
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         f, g = self, other
         s = math.gcd(f.stride, g.stride, abs(f.offset - g.offset))
-        f = f._reexpand(s)
-        g = g._reexpand(s)
         prec = min(f.precision, g.precision)
         if not f.nums:
-            return g.truncate(prec)
+            return g._reexpand(s).truncate(prec)
         if not g.nums:
-            return f.truncate(prec)
-        val = min(f.valuation, g.valuation)
-        n = _pp_count(val, prec, s)
-        den = math.lcm(f.den, g.den)
-        cs = [0] * n
-        for h in (f, g):
-            k = (h.valuation - val) // s
-            part = h.nums[:max(n - k, 0)]
-            if h.den != den:
-                part = [c * (den // h.den) for c in part]
-            cs[k:k + len(part)] = map(add, cs[k:k + len(part)], part)
-        return LaurentSeries._of(s, val % s, val, prec, cs, den)
+            return f._reexpand(s).truncate(prec)
+        return _combine(((1, f), (1, g)), s, prec)
 
     def __neg__(self) -> "LaurentSeries":
         return LaurentSeries._of(self.stride, self.offset, self.valuation,

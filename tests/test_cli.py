@@ -123,6 +123,35 @@ def test_cache_that_cannot_be_written_exits_2(capsys, tmp_path, monkeypatch):
     assert err.startswith("error: cannot write the series cache")
     assert not_a_dir.read_text() == ""
 
+
+def test_cache_directory_that_cannot_be_listed_is_a_miss(capsys, tmp_path, monkeypatch):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    forms.eisenstein_e4(10).dump(cache / "e4__10.json", "e4")
+
+    def refuse(path):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli.os, "listdir", refuse)
+    assert cli._cache_lookup("e4", 5) is None
+    code, out, err = run(capsys, "series", "--name", "e4", "--prec", "5")
+    assert code == 0 and "Traceback" not in err
+    assert LaurentSeries.from_json_dict(json.loads(out)) == forms.eisenstein_e4(5)
+
+
+@pytest.mark.parametrize("argv", [("series", "--name", "e4", "--prec", "5"),
+                                  ("table", "--name", "p", "--max-n", "3")],
+                         ids=["series", "table"])
+@pytest.mark.parametrize("target", ["a-directory", "missing/dir/x.json"])
+def test_out_that_cannot_be_written_exits_2(capsys, tmp_path, argv, target):
+    (tmp_path / "a-directory").mkdir()
+    out_path = tmp_path / target
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {str(out_path)!r}")
+    assert "Traceback" not in err
+
+
 def test_series_eta24_precision_one(capsys):
     code, out, _ = run(capsys, "series", "--name", "eta24", "--prec", "1")
     assert code == 0

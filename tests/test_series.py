@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qspt.errors import LeadingZero, OutOfPrecision
+from qspt.report import VerificationReport
 from qspt.series import LaurentSeries, _kron_mul, convolve
 
 
@@ -295,6 +296,7 @@ def test_operations_match_a_fraction_reference(fa, ga, c):
     f, g = LaurentSeries(*fa), LaurentSeries(*ga)
     rf, rg = Ref.of(*fa), Ref.of(*ga)
     assert f.to_json_dict("h") == rf.doc() and g.to_json_dict("h") == rg.doc()
+    assert (f == g) == (rf.prec == rg.prec and rf.terms == rg.terms)
     results = {"+": (f + g, rf + rg), "-": (f - g, rf - rg), "*": (f * g, rf * rg),
                "scale": (f.scale(c), rf.scale(c)), "q_derive": (f.q_derive(), rf.q_derive()),
                "/": (f / g, rf / rg)}
@@ -308,6 +310,66 @@ def test_operations_match_a_fraction_reference(fa, ga, c):
             loaded = LaurentSeries.from_json_dict(doc, p)
             assert loaded == h.truncate(p)
             assert loaded.to_json_dict("h") == h.truncate(p).to_json_dict("h")
+
+
+def reference_compare(rep, lhs, rhs, lo=None, hi=None, tag=None):
+    """VerificationReport.compare written out on two exponent -> Fraction maps:
+    each side's terms over [lo, hi), recorded over the sorted union of exponents."""
+    known = min(lhs.precision, rhs.precision)
+    if hi is None:
+        hi = known
+    elif hi > known:
+        raise OutOfPrecision(f"comparison below {hi} requested, known below {known}")
+    a = {e: c for e, c in lhs.terms() if (lo is None or e >= lo) and e < hi}
+    b = {e: c for e, c in rhs.terms() if (lo is None or e >= lo) and e < hi}
+    before = len(rep.mismatches)
+    for e in sorted(set(a) | set(b)):
+        rep.record(e, a.get(e, Fraction(0)), b.get(e, Fraction(0)))
+    ok = len(rep.mismatches) == before
+    if tag is not None:
+        rep.details.append(f"{tag}: {'ok' if ok else 'MISMATCH'}")
+    return ok
+
+
+@st.composite
+def compare_pairs(draw):
+    """A series and either an independent one or a copy of it with some
+    coefficients bumped, on the progression its terms then span, known to a
+    precision up to three progression steps shorter or longer."""
+    f = draw(series())
+    if draw(st.booleans()):
+        return f, draw(series())
+    terms = dict(f.terms())
+    for _ in range(draw(st.integers(1, 3))):
+        e = draw(st.integers(f.valuation - 6, f.precision - 1))
+        terms[e] = terms.get(e, 0) + draw(
+            st.builds(Fraction, st.sampled_from((-3, -2, -1, 1, 2, 3)), st.integers(1, 3)))
+    prec = f.precision + f.stride * draw(st.integers(-3, 3))
+    g = LaurentSeries.from_terms(terms, prec)
+    return draw(st.permutations([f, g]))
+
+
+@settings(deadline=None)
+@given(compare_pairs(), st.data())
+def test_compare_matches_the_term_dict_reference(pair, data):
+    lhs, rhs = pair
+    known = min(lhs.precision, rhs.precision)
+    lo = data.draw(st.none() | st.integers(min(lhs.valuation, rhs.valuation, known) - 6,
+                                           known + 2))
+    hi = data.draw(st.none() | st.integers(known - 60, known + 2))
+    got, want = VerificationReport(check="c"), VerificationReport(check="c")
+    if hi is not None and hi > known:
+        with pytest.raises(OutOfPrecision):
+            got.compare(lhs, rhs, lo, hi, tag="t")
+        return
+    ok = got.compare(lhs, rhs, lo, hi, tag="t")
+    assert ok == reference_compare(want, lhs, rhs, lo, hi, tag="t")
+    assert [(m.exponent, m.lhs, m.rhs) for m in got.mismatches] == \
+        [(m.exponent, m.lhs, m.rhs) for m in want.mismatches]
+    assert got.details == want.details
+    assert (lhs == rhs) == (lhs.precision == rhs.precision
+                            and dict(lhs.terms()) == dict(rhs.terms()))
+
 
 def test_pow_negative_and_zero():
     f = dense([1, 1, 1, 1, 1, 1])
