@@ -18,12 +18,6 @@ from .errors import CacheError, QsptError, UnknownCheck, UnknownSeries
 from .hecke import HeckeContext
 from .series import LaurentSeries
 
-_DEFAULT_WINDOWS = {5: 4800, 7: 2400, 11: 1200}
-_DEFAULT_MAX_N = {"thm1_2": 20, "thm1_3": 40, "eq17": 30, "cor1_4": 200, "cor1_5": 20,
-                  "congruences": 200}
-_VERIFIERS = {"thm1_2": verify.verify_thm1_2, "thm1_3": verify.verify_thm1_3,
-              "eq17": verify.verify_eq17, "cor1_5": verify.verify_cor1_5}
-
 
 def cache_dir() -> str:
     return os.environ.get("QSPT_CACHE", ".qspt-cache")
@@ -142,34 +136,47 @@ def cmd_table(args) -> int:
     return 0
 
 
-def run_check(check: str, *, ell: int = 5, m: int = 1, max_n: int | None = None,
-              window: int | None = None, sign: str = "plus"):
-    """Dispatch one verification and return its report; each check fetches
-    the tables it reads from partitions.stat_tables."""
-    if check in ("thm1_1", "eq9_mod_ell"):
-        ctx = HeckeContext(ell)
-        window = window or _DEFAULT_WINDOWS.get(ell, 1200)
-        verifier = hecke.verify_thm11 if check == "thm1_1" else hecke.verify_mod_ell
-        return verifier(ctx, window)
-    if check == "internal_identities":
-        return verify.verify_internal_identities()
-    if check not in _DEFAULT_MAX_N:
+def _hecke(f):
+    """A Hecke check on ell; its window defaults to 4800 for ell = 5, 2400 for 7, 1200 otherwise."""
+    return lambda ell, window: f(HeckeContext(ell), window or {5: 4800, 7: 2400}.get(ell, 1200))
+
+
+_CONGRUENCES = {"ell": 5, "m": 1, "max_n": 200, "sign": "plus"}
+CHECKS = {  # each check: (its verifier, {an option it reads: its default})
+    "thm1_1": (_hecke(hecke.verify_thm11), {"ell": 5, "window": None}),
+    "eq9_mod_ell": (_hecke(hecke.verify_mod_ell), {"ell": 5, "window": None}),
+    "thm1_2": (verify.verify_thm1_2, {"max_n": 20}),
+    "thm1_3": (verify.verify_thm1_3, {"max_n": 40}),
+    "eq17": (verify.verify_eq17, {"max_n": 30}),
+    "cor1_4": (lambda **o: partitions.check_congruences("cor1_4", **o), _CONGRUENCES),
+    "cor1_5": (verify.verify_cor1_5, {"max_n": 20}),
+    "congruences": (lambda **o: partitions.check_congruences("all", **o), _CONGRUENCES),
+    "internal_identities": (verify.verify_internal_identities, {}),
+}
+_FLAGS = dict(ell="--ell", m="--m", max_n="--max-n", window="--window", sign="--sign-convention")
+
+
+def run_check(check: str, *, ell=None, m=None, max_n=None, window=None, sign=None):
+    """Run a check of CHECKS, its defaults overlaid by the options given (not None)."""
+    if check not in CHECKS:
         raise UnknownCheck(f"unknown check {check!r}")
-    max_n = max_n or _DEFAULT_MAX_N[check]
-    if check in _VERIFIERS:
-        return _VERIFIERS[check](max_n)
-    family = "all" if check == "congruences" else check
-    return partitions.check_congruences(family, max_n, ell=ell, m=m, sign=sign)
+    verifier, defaults = CHECKS[check]
+    given = {k: v for k, v in zip(_FLAGS, (ell, m, max_n, window, sign)) if v is not None}
+    unread = [_FLAGS[k] for k in given if k not in defaults]
+    if unread:
+        raise QsptError(f"{check} does not read {', '.join(unread)}")
+    return verifier(**defaults | given)
 
 
 def cmd_verify(args) -> int:
     t0 = time.monotonic()  # the check's own table builds fall inside its runtime
-    rep = run_check(args.check, ell=args.ell, m=args.m, max_n=args.max_n,
-                    window=args.window, sign=args.sign_convention)
+    rep = run_check(args.check, **{k: getattr(args, k) for k in _FLAGS})
     rep.runtime_ms = int((time.monotonic() - t0) * 1000)
+    if not rep.compared:
+        raise QsptError(f"{args.check} compared no values: the requested range holds none")
     print(json.dumps(rep.to_dict(), indent=2))
-    print(f"{rep.check}: {rep.status} ({len(rep.mismatches)} mismatches, "
-          f"{rep.runtime_ms} ms)", file=sys.stderr)
+    print(f"{rep.check}: {rep.status} ({len(rep.mismatches)} mismatches of {rep.compared} "
+          f"compared, {rep.runtime_ms} ms)", file=sys.stderr)
     return 0 if rep.passed else 1
 
 
@@ -199,14 +206,12 @@ def make_parser() -> argparse.ArgumentParser:
     tab.set_defaults(func=cmd_table)
 
     ver = sub.add_parser("verify", help="run a verification check")
-    ver.add_argument("check", choices=("thm1_1", "thm1_2", "thm1_3", "eq17",
-                                       "cor1_4", "cor1_5", "eq9_mod_ell",
-                                       "congruences", "internal_identities"))
-    ver.add_argument("--ell", type=int, default=5)
-    ver.add_argument("--m", type=_positive, default=1)
+    ver.add_argument("check", choices=CHECKS)
+    ver.add_argument("--ell", type=int)
+    ver.add_argument("--m", type=_positive)
     ver.add_argument("--max-n", type=_positive)
     ver.add_argument("--window", type=_positive)
-    ver.add_argument("--sign-convention", choices=("plus", "minus"), default="plus")
+    ver.add_argument("--sign-convention", dest="sign", choices=("plus", "minus"))
     ver.set_defaults(func=cmd_verify)
     return ap
 

@@ -8,19 +8,27 @@ from fractions import Fraction
 
 from . import forms, jbasis
 from .arith import legendre, require_hecke_prime
-from .errors import BadSupport
+from .errors import BadSupport, QsptError
 from .partitions import _over_euler, mell_terms, mell_weight, mplus_weight, stat_tables
 from .report import VerificationReport
 from .series import LaurentSeries
 
 
+# The largest delta_ell a HeckeContext admits, delta_71 = 210: thm1_1 --ell 71 --window 240
+# takes 12.6 s on a 2-vCPU VM, and the closed form reads j to delta_ell terms at any window.
+MAX_DELTA = 210
+
+
 @dataclass(frozen=True)
 class HeckeContext:
-    """A prime ell >= 5 with its derived constants."""
+    """A prime ell >= 5 with delta_ell <= MAX_DELTA (ell <= 71), with its derived constants."""
 
     ell: int
 
     def __post_init__(self):
+        if self.delta_ell > MAX_DELTA:  # before the trial division of require_hecke_prime
+            raise QsptError(f"ell capped at delta_ell = (ell^2 - 1)/24 <= {MAX_DELTA} "
+                            f"(ell <= 71), got {self.ell}")
         require_hecke_prime(self.ell)
 
     @property

@@ -15,7 +15,7 @@ from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .arith import legendre, require_hecke_prime
-from .errors import EnumerationLimit, TableTooSmall, UnknownCheck
+from .errors import EnumerationLimit, QsptError, TableTooSmall, UnknownCheck
 from .report import VerificationReport
 
 _ENUM_GUARDS = {"spt": 60, "partition": 60, "unimodal": 40}
@@ -265,12 +265,18 @@ class StatTables:
 
 
 _TABLES: StatTables | None = None
+# The deepest row stat_tables builds: it admits congruences --ell 5 --m 3, the deepest
+# request measured, which reads row 124,349 (21-31 s on a 2-vCPU VM).
+MAX_TABLE_ROW = 125_000
 
 
 def stat_tables(n: int) -> StatTables:
     """The process's one table, rebuilt to row n only when a reader asks past it;
-    each reader asks for the largest index it reads, so no caller sizes tables."""
+    each reader asks for the largest index it reads, so no caller sizes tables.
+    A row past MAX_TABLE_ROW raises QsptError before anything is built."""
     global _TABLES
+    if n > MAX_TABLE_ROW:
+        raise QsptError(f"tables capped at row {MAX_TABLE_ROW:,}, {n:,} requested")
     if _TABLES is None or _TABLES.limit < n:
         _TABLES = StatTables.build(n)
     return _TABLES
@@ -406,25 +412,42 @@ def spt_family_instances(ell: int, m: int, max_n: int, sign: str) -> list[tuple[
     return out
 
 
+_ANDREWS = ((5, 4), (7, 5), (13, 6))  # (mod, res): spt(mod n + res) = 0 mod mod
+
+
+def _congruence_rows(family: str, max_n: int, ell: int, m: int, sign: str) -> int:
+    """The deepest table row a congruence family reads; for 'all', the deepest of its three."""
+    if family == "andrews":
+        return max(mod * max_n + res for mod, res in _ANDREWS)
+    if family == "all":
+        return max(_congruence_rows(sub, max_n, ell, m, sign)
+                   for sub in ("andrews", "eq5", "cor1_4"))
+    mm = 1 if family == "eq5" else m
+    signs = (sign,) if family == "cor1_4" else ("plus", "minus")
+    return max((idx for s in signs for _, idx in spt_family_instances(ell, mm, max_n, s)),
+               default=0)
+
+
 def check_congruences(family: str, max_n: int, ell: int = 5, m: int = 1,
                       sign: str = "plus") -> VerificationReport:
     """Verify one congruence family over the requested range.
 
     Families: 'andrews' (the mod 5/7/13 spt congruences), 'eq5' (the mod-ell
     family), 'eq6' (mod ell^m), 'cor1_4' (u* = 2a mod ell^m at the same
-    indices), 'all' (every family at its defaults)."""
-    if family in ("eq5", "eq6", "cor1_4", "all"):
+    indices), 'all' (every family at its defaults). The tables are sized
+    before any family runs, so a request past their cap builds nothing."""
+    if family not in ("andrews", "eq5", "eq6", "cor1_4", "all"):
+        raise UnknownCheck(f"unknown congruence family {family!r}")
+    if family != "andrews":
         require_hecke_prime(ell)
     rep = VerificationReport(check=f"congruences:{family}",
                              parameters={"max_n": max_n, "ell": ell, "m": m,
                                          "sign_convention": sign},
                              window=(1, max_n + 1))
+    tables = stat_tables(_congruence_rows(family, max_n, ell, m, sign))
     if family == "andrews":
-        progressions = [(mod, res, range(res, mod * max_n + res + 1, mod))
-                        for mod, res in ((5, 4), (7, 5), (13, 6))]
-        tables = stat_tables(max(idxs[-1] for _, _, idxs in progressions))
-        for mod, res, idxs in progressions:
-            for idx in idxs:
+        for mod, res in _ANDREWS:
+            for idx in range(res, mod * max_n + res + 1, mod):
                 rep.record(idx, tables.spt[idx] % mod, 0)
             rep.details.append(f"spt({mod}n+{res}) = 0 mod {mod}: n <= {max_n}")
     elif family in ("eq5", "eq6"):
@@ -432,7 +455,6 @@ def check_congruences(family: str, max_n: int, ell: int = 5, m: int = 1,
         modulus = ell ** mm
         inst = spt_family_instances(ell, mm, max_n, sign)
         other = spt_family_instances(ell, mm, max_n, "minus" if sign == "plus" else "plus")
-        tables = stat_tables(max((idx for _, idx in inst + other), default=0))
         for n, idx in inst:
             rep.record(idx, tables.spt[idx] % modulus, 0)
         rep.details.append(f"convention '{sign}': {len(inst)} integral indices, "
@@ -442,15 +464,12 @@ def check_congruences(family: str, max_n: int, ell: int = 5, m: int = 1,
                            f"{bad} failures")
     elif family == "cor1_4":
         modulus = ell ** m
-        inst = spt_family_instances(ell, m, max_n, sign)
-        tables = stat_tables(max((idx for _, idx in inst), default=0))
-        for n, idx in inst:
+        for n, idx in spt_family_instances(ell, m, max_n, sign):
             rep.record(idx, (tables.ustar[idx] - 2 * tables.a[idx]) % modulus, 0)
-    elif family == "all":
+    else:
         for sub in ("andrews", "eq5", "cor1_4"):
             r = check_congruences(sub, max_n, ell=ell, m=m, sign=sign)
             rep.mismatches.extend(r.mismatches)
+            rep.compared += r.compared
             rep.details.extend(f"{sub}: {d}" for d in r.details or [r.status])
-    else:
-        raise UnknownCheck(f"unknown congruence family {family!r}")
     return rep

@@ -30,6 +30,7 @@ class VerificationReport:
     mismatches: list[Mismatch] = field(default_factory=list)
     runtime_ms: int = 0  # set by cli.cmd_verify around run_check
     details: list[str] = field(default_factory=list)
+    compared: int = 0  # values compared; cli.cmd_verify reports it, to_dict leaves it out
 
     @property
     def status(self) -> str:
@@ -41,6 +42,7 @@ class VerificationReport:
 
     def record(self, exponent: int, lhs, rhs) -> None:
         """Compare one pair of values; keep a mismatch entry if they differ."""
+        self.compared += 1
         if lhs != rhs:
             self.mismatches.append(Mismatch(exponent, Fraction(lhs), Fraction(rhs)))
 
@@ -57,10 +59,17 @@ class VerificationReport:
             hi = known
         elif hi > known:
             raise OutOfPrecision(f"comparison below {hi} requested, known below {known}")
+        diff = lhs.truncate(hi) - rhs.truncate(hi)
+        if lo is None:
+            lo = min(lhs.valuation, rhs.valuation)
+        # every point of diff's progression in [lo, hi) is compared, the mismatches among them
+        compared = self.compared + max(0, (diff.offset - lo) // diff.stride
+                                       - (diff.offset - hi) // diff.stride)
         before = len(self.mismatches)
-        for e, _ in (lhs.truncate(hi) - rhs.truncate(hi)).terms():
-            if lo is None or e >= lo:
+        for e, _ in diff.terms():
+            if e >= lo:
                 self.record(e, lhs.coeff(e), rhs.coeff(e))
+        self.compared = compared
         ok = len(self.mismatches) == before
         if tag is not None:
             self.details.append(f"{tag}: {'ok' if ok else 'MISMATCH'}")

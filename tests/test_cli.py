@@ -1,11 +1,12 @@
 """End-to-end CLI behavior: output formats, caching, exit codes."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
-from qspt import cli, forms, partitions
+from qspt import arith, cli, forms, partitions
 from qspt.partitions import StatTables
 from qspt.series import LaurentSeries
 
@@ -27,12 +28,14 @@ def run(capsys, *argv):
 @pytest.fixture
 def counted(monkeypatch):
     """Record the n of every StatTables.build call and count the calls of the
-    thm1_3 and eq17 enumeration oracles."""
+    thm1_3 and eq17 enumeration oracles. A build past the row cap fails the
+    test instead of running, so a test of the cap never builds millions of rows."""
     calls = {"builds": [], "oracle": 0}
     build = StatTables.build.__func__
 
     def counting_build(cls, n):
         calls["builds"].append(n)
+        assert n <= partitions.MAX_TABLE_ROW, f"a table build to row {n} past the cap"
         return build(cls, n)
 
     monkeypatch.setattr(StatTables, "build", classmethod(counting_build))
@@ -226,6 +229,91 @@ def test_table_csv_and_json(capsys):
     assert exc.value.code == 2
 
 
+def test_verify_summary_gives_the_compared_count(capsys):
+    code, _, err = run(capsys, "verify", "thm1_1", "--ell", "5", "--window", "240")
+    assert code == 0
+    # the points -25, -1, 23, ..., 239 of the progression 23 mod 24
+    assert re.fullmatch(r"thm1_1: pass \(0 mismatches of 12 compared, \d+ ms\)\n", err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "cor1_4", "--ell", "5", "--m", "3", "--max-n", "1"),
+    ("verify", "cor1_4", "--ell", "7", "--m", "2", "--max-n", "1"),
+], ids=" ".join)
+def test_a_check_that_compares_nothing_exits_2(capsys, argv):
+    # no n <= 1 has an integral index (ell^2m n + 1)/24, so nothing is compared
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: cor1_4 compared no values: the requested range holds none\n"
+
+
+# the options each check reads; every other (check, option) pair exits 2
+READS = {"thm1_1": {"--ell", "--window"}, "eq9_mod_ell": {"--ell", "--window"},
+         "thm1_2": {"--max-n"}, "thm1_3": {"--max-n"}, "eq17": {"--max-n"},
+         "cor1_5": {"--max-n"}, "internal_identities": set(),
+         "cor1_4": {"--ell", "--m", "--max-n", "--sign-convention"},
+         "congruences": {"--ell", "--m", "--max-n", "--sign-convention"}}
+VALUES = {"--ell": "5", "--m": "1", "--max-n": "10", "--window": "24", "--sign-convention": "plus"}
+UNREAD = [(check, flag) for check, reads in READS.items() for flag in VALUES if flag not in reads]
+
+
+def test_the_check_table_accepts_sixteen_options():
+    assert len(UNREAD) == 29 and sum(map(len, READS.values())) == 16
+    assert {check: {cli._FLAGS[k] for k in defaults}
+            for check, (_, defaults) in cli.CHECKS.items()} == READS
+
+
+@pytest.mark.parametrize("check, flag", UNREAD, ids=" ".join)
+def test_an_option_the_check_does_not_read_exits_2(capsys, counted, check, flag):
+    code, out, err = run(capsys, "verify", check, flag, VALUES[flag])
+    assert (code, out) == (2, "")
+    assert err == f"error: {check} does not read {flag}\n"
+    assert counted == {"builds": [], "oracle": 0}
+
+
+def test_every_unread_option_is_named(capsys):
+    code, out, err = run(capsys, "verify", "thm1_2", "--sign-convention", "minus",
+                         "--window", "24", "--ell", "7")
+    assert (code, out) == (2, "")
+    assert err == "error: thm1_2 does not read --ell, --window, --sign-convention\n"
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (("verify", "thm1_1", "--ell", "71", "--window", "600"), 125_815),
+    (("verify", "eq9_mod_ell", "--ell", "5", "--window", "120024"), 125_024),
+    (("verify", "congruences", "--ell", "5", "--m", "4"), 3_108_724),
+    (("verify", "cor1_4", "--ell", "5", "--m", "4"), 3_108_724),
+    (("verify", "thm1_2", "--max-n", "5001"), 125_024),
+    (("table", "--name", "spt", "--max-n", "200000"), 200_000),
+    (("table", "--name", "c_formula", "--max-n", "5001"), 125_024),
+    (("series", "--name", "mplus", "--prec", "3000048"), 125_002),
+    (("series", "--name", "spt_gen24", "--prec", "3000048"), 125_002),
+    (("series", "--name", "m_ell:5", "--prec", "120024"), 125_024),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
+def test_requests_past_the_row_cap_exit_2_before_any_build(capsys, counted, argv, rows):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: tables capped at row 125,000, {rows:,} requested\n"
+    assert counted["builds"] == []
+
+
+@pytest.mark.parametrize("argv, ell", [
+    (("verify", "thm1_1", "--ell", "1009", "--window", "240"), 1009),  # 10,138,390 rows
+    (("verify", "thm1_1", "--ell", "1009", "--window", "1"), 1009),  # 0 rows, j to 42,427 terms
+    (("verify", "eq9_mod_ell", "--ell", "1000003", "--window", "1"), 1000003),
+    (("series", "--name", "r_ell:73", "--prec", "24"), 73),
+    (("series", "--name", "m_ell:73", "--prec", "24"), 73),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
+def test_hecke_paths_refuse_ell_past_71_at_once(capsys, counted, monkeypatch, argv, ell):
+    reached = []
+    monkeypatch.setattr(arith, "is_prime", lambda n: reached.append("is_prime"))
+    monkeypatch.setattr(forms, "j_series", lambda P: reached.append("j"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: ell capped at delta_ell = (ell^2 - 1)/24 <= 210 (ell <= 71), got {ell}\n"
+    assert counted["builds"] == [] and reached == []
+
+
 def test_verify_pass_exit_zero(capsys):
     code, out, err = run(capsys, "verify", "thm1_2", "--max-n", "3")
     assert code == 0
@@ -299,6 +387,12 @@ def test_verify_suite_builds_the_tables_once(counted):
     assert counted["builds"] == [2499]
 
 
+def test_congruences_size_the_tables_for_their_deepest_family_first(counted):
+    # andrews reads row 656 and cor1_4 mod 7^2 row 4702: one build, not one per family
+    assert cli.run_check("congruences", ell=7, m=2, max_n=50).passed
+    assert counted["builds"] == [4702]
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "cor1_4", "--ell", "3"),
     ("verify", "congruences", "--ell", "3", "--max-n", "200"),
@@ -314,7 +408,6 @@ def test_congruence_families_refuse_ell_three(capsys, argv):
     ("verify", "cor1_5", "--max-n", "1"),
     ("verify", "thm1_2", "--max-n", "1"),
     ("verify", "congruences", "--max-n", "1"),
-    ("verify", "cor1_4", "--ell", "7", "--m", "2", "--max-n", "1"),
     ("verify", "thm1_1", "--ell", "5", "--window", "1"),
     ("verify", "thm1_1", "--ell", "13", "--window", "1"),
     ("verify", "eq9_mod_ell", "--ell", "5", "--window", "1"),

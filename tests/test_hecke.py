@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from qspt import forms, hecke, jbasis
-from qspt.errors import BadModulus, BadSupport
+from qspt import arith, forms, hecke, jbasis
+from qspt.errors import BadModulus, BadSupport, QsptError
 from qspt.hecke import HeckeContext
 from qspt.series import LaurentSeries
 
@@ -20,6 +20,16 @@ def test_context_validation():
     assert HeckeContext(11).delta_ell == 5
     assert HeckeContext(13).delta_ell == 7
     assert [HeckeContext(p).eps3 for p in (5, 7, 11, 13)] == [-1, -1, 1, 1]
+
+
+def test_context_caps_delta_before_the_primality_test(monkeypatch):
+    assert HeckeContext(71).delta_ell == hecke.MAX_DELTA == 210
+    tested = []
+    monkeypatch.setattr(arith, "is_prime", lambda n: tested.append(n))
+    for ell in (73, 1009, 10 ** 40 + 1):
+        with pytest.raises(QsptError, match=f"ell capped at .* <= 210 .*got {ell}$"):
+            HeckeContext(ell)
+    assert tested == []
 
 
 def test_spt_gen24():

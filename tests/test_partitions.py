@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qspt import partitions as pt
-from qspt.errors import EnumerationLimit, TableTooSmall
+from qspt.errors import EnumerationLimit, QsptError, TableTooSmall
 from qspt.series import LaurentSeries, convolve
 
 
@@ -345,3 +345,27 @@ def test_cor1_4():
 def test_all_families():
     rep = pt.check_congruences("all", max_n=39)
     assert rep.passed
+
+
+def test_all_families_count_what_their_families_compared():
+    subs = [pt.check_congruences(f, max_n=200) for f in ("andrews", "eq5", "cor1_4")]
+    assert [r.compared for r in subs] == [3 * 201, 3, 3]
+    assert pt.check_congruences("all", max_n=200).compared == 609
+
+
+def test_stat_tables_cap_admits_the_deepest_documented_request(monkeypatch):
+    built = []
+
+    def fake_build(cls, n):
+        built.append(n)
+        return cls(n, (), (), (), ())
+
+    monkeypatch.setattr(pt, "_TABLES", None)
+    monkeypatch.setattr(pt.StatTables, "build", classmethod(fake_build))
+    # congruences --ell 5 --m 3 reads row 124,349
+    assert pt._congruence_rows("all", 200, 5, 3, "plus") == 124_349
+    assert pt.stat_tables(124_349).limit == 124_349
+    assert pt.stat_tables(pt.MAX_TABLE_ROW).limit == 125_000
+    with pytest.raises(QsptError, match="tables capped at row 125,000, 125,001 requested"):
+        pt.stat_tables(125_001)
+    assert built == [124_349, 125_000]

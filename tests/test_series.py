@@ -371,6 +371,23 @@ def test_compare_matches_the_term_dict_reference(pair, data):
                             and dict(lhs.terms()) == dict(rhs.terms()))
 
 
+@settings(deadline=None)
+@given(compare_pairs(), st.data())
+def test_compare_counts_the_points_of_the_difference_progression(pair, data):
+    lhs, rhs = pair
+    known = min(lhs.precision, rhs.precision)
+    lo = data.draw(st.none() | st.integers(min(lhs.valuation, rhs.valuation, known) - 6,
+                                           known + 2))
+    hi = data.draw(st.integers(known - 60, known))
+    rep = VerificationReport(check="c")
+    rep.compare(lhs, rhs, lo, hi)
+    diff = lhs.truncate(hi) - rhs.truncate(hi)
+    start = min(lhs.valuation, rhs.valuation) if lo is None else lo
+    points = [e for e in range(start, hi) if e % diff.stride == diff.offset]
+    assert rep.compared == len(points)
+    assert {m.exponent for m in rep.mismatches} <= set(points)
+
+
 def test_pow_negative_and_zero():
     f = dense([1, 1, 1, 1, 1, 1])
     assert f.pow(0).coeff(0) == 1

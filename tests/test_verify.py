@@ -5,7 +5,8 @@ from functools import partial
 
 import pytest
 
-from qspt import forms, verify
+from qspt import forms, hecke, verify
+from qspt.hecke import HeckeContext
 from qspt.partitions import check_congruences
 from qspt.errors import OutOfPrecision
 from qspt.report import VerificationReport
@@ -41,6 +42,23 @@ def test_compare_records_every_exponent_and_tags():
     assert not rep.compare(j, j.scale(2), 0, 2, tag="double")
     assert [m.exponent for m in rep.mismatches] == [0, 1]
     assert rep.details == ["same: ok", "double: MISMATCH"]
+
+
+def test_report_counts_what_it_compared():
+    rep = VerificationReport(check="demo")
+    rep.record(3, 1, 1)
+    rep.record(4, 1, 2)
+    assert rep.compared == 2
+    j = forms.j_series(10)
+    rep.compare(j, j.scale(2), 0, 2)  # exponents 0 and 1, both mismatches
+    rep.compare(j, j, hi=10)  # -1 .. 9
+    assert rep.compared == 2 + 2 + 11
+    assert "compared" not in rep.to_dict()
+
+
+def test_thm11_counts_the_points_of_its_progression():
+    rep = hecke.verify_thm11(HeckeContext(5), 240)
+    assert rep.passed and rep.compared == 12  # -25, -1, 23, ..., 239
 
 
 def test_compare_past_known_window_raises():
