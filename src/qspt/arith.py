@@ -34,6 +34,11 @@ def legendre(a: int, p: int) -> int:
     """Legendre symbol (a|p) for an odd prime p, via Euler's criterion."""
     if p <= 2 or not is_prime(p):
         raise BadModulus(f"{p} is not an odd prime")
+    return euler_criterion(a, p)
+
+
+def euler_criterion(a: int, p: int) -> int:
+    """(a|p) for a p the caller has checked to be an odd prime: a^((p-1)/2) mod p as 0 or +-1."""
     a %= p
     if a == 0:
         return 0

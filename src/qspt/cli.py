@@ -12,18 +12,37 @@ import os
 import sys
 import tempfile
 import time
+from itertools import islice
 
 from . import forms, hecke, partitions, verify
 from .errors import CacheError, QsptError, UnknownCheck, UnknownSeries
 from .hecke import HeckeContext
-from .series import LaurentSeries
+from .series import LaurentSeries, _pp_count
 
 
 def cache_dir() -> str:
     return os.environ.get("QSPT_CACHE", ".qspt-cache")
 
 
+# The first line of every cache entry carries this tag. Bump it whenever a
+# constructor's algorithm changes, so that a cache never serves a series an
+# older algorithm built.
+CACHE_TAG = "qspt 0.1.0 cache 1"
+
+# The largest --prec of a series that reads no table (the table-backed mplus,
+# spt_gen24 and m_ell:<prime> meet the row cap instead). At 2,400 the slowest
+# such names take 27 s (r_ell:71) and 8 s (alpha, 21,736-bit coefficients) on a
+# 2-vCPU VM.
+MAX_SERIES_PREC = 2400
+
+
 def _cache_lookup(name: str, precision: int) -> LaurentSeries | None:
+    """The cached series name truncated below precision, or None on a miss.
+
+    An entry <name>__<P>.qs holds a JSON header line (tag, name, stride, offset,
+    valuation, precision and the denominator in hex), then one line per
+    progression point in [valuation, P), its integer numerator in hex. A hit
+    reads only the lines below the requested precision."""
     d = cache_dir()
     try:
         entries = os.listdir(d)
@@ -32,9 +51,9 @@ def _cache_lookup(name: str, precision: int) -> LaurentSeries | None:
     prefix = name.replace(":", "_") + "__"
     best = None
     for fn in entries:
-        if fn.startswith(prefix) and fn.endswith(".json"):
+        if fn.startswith(prefix) and fn.endswith(".qs"):
             try:
-                prec = int(fn[len(prefix):-5])
+                prec = int(fn[len(prefix):-3])
             except ValueError:
                 continue
             if prec >= precision and (best is None or prec < best):
@@ -42,25 +61,34 @@ def _cache_lookup(name: str, precision: int) -> LaurentSeries | None:
     if best is None:
         return None
     try:
-        stored, series = LaurentSeries.load(os.path.join(d, prefix + f"{best}.json"), precision)
+        with open(os.path.join(d, prefix + f"{best}.qs"), "rb") as fh:
+            head = json.loads(fh.readline())
+            if (head["tag"], head["name"]) != (CACHE_TAG, name) or head["precision"] < precision:
+                return None  # another algorithm's or another series' entry, or too short
+            val, stride = head["valuation"], head["stride"]
+            keep = _pp_count(val, precision, stride)
+            nums = [int(line, 16) for line in islice(fh, keep)]
+        if len(nums) < keep:
+            return None
+        return LaurentSeries._of(stride, head["offset"], min(val, precision), precision,
+                                 nums, int(head["den"], 16))
     except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
-        return None  # an entry that cannot be read, or is not a series document
-    # a file holding another series, or too few coefficients for the request, is a miss
-    if stored != name or series.precision < precision:
-        return None
-    return series
+        return None  # an entry that cannot be read, or is not a series in this layout
 
 
 def _cache_store(name: str, series: LaurentSeries) -> None:
     d = cache_dir()
-    path = os.path.join(d, name.replace(":", "_") + f"__{series.precision}.json")
+    path = os.path.join(d, name.replace(":", "_") + f"__{series.precision}.qs")
+    head = {"tag": CACHE_TAG, "name": name, "stride": series.stride, "offset": series.offset,
+            "valuation": series.valuation, "precision": series.precision,
+            "den": format(series.den, "x")}
     try:
         os.makedirs(d, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(series.to_json_dict(name), fh)
-                fh.write("\n")
+                fh.write(json.dumps(head) + "\n")
+                fh.write("".join(f"{c:x}\n" for c in series._window_nums()))
             os.replace(tmp, path)
         except OSError:
             os.unlink(tmp)
@@ -70,8 +98,9 @@ def _cache_store(name: str, series: LaurentSeries) -> None:
 
 
 def build_series(name: str, precision: int) -> LaurentSeries:
-    """Construct any named series. The name is resolved before the file cache
-    is consulted, so the cache never answers for an unknown name."""
+    """Construct any named series. The name is resolved, and the precision
+    checked against its cap, before the file cache is consulted, so the cache
+    never answers for an unknown name or a refused request."""
     kind, _, ell = name.partition(":")
     if name in forms._CONSTRUCTORS:
         build = forms._CONSTRUCTORS[name]
@@ -87,6 +116,8 @@ def build_series(name: str, precision: int) -> LaurentSeries:
         build = lambda prec: hecke.r_ell_series(ctx, prec)
     else:
         raise UnknownSeries(f"unknown series name {name!r}")
+    if precision > MAX_SERIES_PREC and not (name in ("mplus", "spt_gen24") or kind == "m_ell"):
+        raise QsptError(f"--prec capped at {MAX_SERIES_PREC:,} for {name}, got {precision:,}")
     cached = _cache_lookup(name, precision)
     if cached is not None:
         return cached

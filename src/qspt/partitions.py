@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .arith import legendre, require_hecke_prime
+from .arith import euler_criterion, legendre, require_hecke_prime
 from .errors import EnumerationLimit, QsptError, TableTooSmall, UnknownCheck
 from .report import VerificationReport
 
@@ -400,11 +400,12 @@ def _c1_c2_lines(tables: StatTables, fmt: str) -> list[str]:
 # congruence checking
 
 def spt_family_instances(ell: int, m: int, max_n: int, sign: str) -> list[tuple[int, int]]:
-    """(n, index) pairs with an integral index (ell^2m * n -+ 1)/24 and (-n|ell) = 1."""
+    """(n, index) pairs with an integral index (ell^2m * n -+ 1)/24 and (-n|ell) = 1,
+    for a prime ell >= 5 that the caller has checked (check_congruences does, once)."""
     power = ell ** (2 * m)
     out = []
     for n in range(1, max_n + 1):
-        if legendre(-n, ell) != 1:
+        if euler_criterion(-n, ell) != 1:
             continue
         num = power * n + (1 if sign == "plus" else -1)
         if num % 24 == 0:
@@ -428,6 +429,18 @@ def _congruence_rows(family: str, max_n: int, ell: int, m: int, sign: str) -> in
                default=0)
 
 
+def _require_family_rows(ell: int, m: int) -> None:
+    """Refuse congruences mod ell^m whose smallest index (ell^2m - 1)/24 is past
+    MAX_TABLE_ROW, before the primality test of ell; with ell^2 >= 25 the loop
+    stops within five steps, whatever m."""
+    power = 1
+    for _ in range(m):
+        power *= ell * ell
+        if power > 24 * MAX_TABLE_ROW + 1:
+            raise QsptError(f"tables capped at row {MAX_TABLE_ROW:,}, and every index "
+                            f"(ell^{2 * m} n -+ 1)/24 of ell = {ell} is past it")
+
+
 def check_congruences(family: str, max_n: int, ell: int = 5, m: int = 1,
                       sign: str = "plus") -> VerificationReport:
     """Verify one congruence family over the requested range.
@@ -439,6 +452,8 @@ def check_congruences(family: str, max_n: int, ell: int = 5, m: int = 1,
     if family not in ("andrews", "eq5", "eq6", "cor1_4", "all"):
         raise UnknownCheck(f"unknown congruence family {family!r}")
     if family != "andrews":
+        if ell >= 5:  # a smaller ell is refused at once, before ell^2m is formed
+            _require_family_rows(ell, 1 if family == "eq5" else m)
         require_hecke_prime(ell)
     rep = VerificationReport(check=f"congruences:{family}",
                              parameters={"max_n": max_n, "ell": ell, "m": m,

@@ -443,18 +443,16 @@ class LaurentSeries:
         return list(self.nums) + [0] * (n - len(self.nums))
 
     @classmethod
-    def from_json_dict(cls, doc: dict, precision: int | None = None) -> "LaurentSeries":
-        """Inverse of to_json_dict. Given a precision, the series truncated
-        below it, converting only the coefficients that are kept."""
-        stride, val = doc["stride"], doc["valuation"]
-        prec = doc["precision"] if precision is None else min(precision, doc["precision"])
-        pairs = doc["coefficients"][:_pp_count(val, prec, stride)]
+    def from_json_dict(cls, doc: dict) -> "LaurentSeries":
+        """Inverse of to_json_dict."""
+        pairs = doc["coefficients"]
         if all(d == "1" for _, d in pairs):
             nums, den = [from_decimal(n) for n, _ in pairs], 1
         else:
             nums, den = _clear_denominators((from_decimal(n), from_decimal(d))
                                             for n, d in pairs)
-        return cls._of(stride, doc["offset"], min(val, prec), prec, nums, den)
+        return cls._of(doc["stride"], doc["offset"], doc["valuation"], doc["precision"],
+                       nums, den)
 
     def dump(self, path, name: str) -> None:
         with open(path, "w") as fh:
@@ -462,7 +460,7 @@ class LaurentSeries:
             fh.write("\n")
 
     @classmethod
-    def load(cls, path, precision: int | None = None) -> tuple[str, "LaurentSeries"]:
+    def load(cls, path) -> tuple[str, "LaurentSeries"]:
         with open(path) as fh:
             doc = json.load(fh)
-        return doc["name"], cls.from_json_dict(doc, precision)
+        return doc["name"], cls.from_json_dict(doc)

@@ -2,11 +2,14 @@
 
 import json
 import re
+import shutil
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from qspt import arith, cli, forms, partitions
+from qspt import arith, cli, forms, hecke, partitions
 from qspt.partitions import StatTables
 from qspt.series import LaurentSeries
 
@@ -80,26 +83,77 @@ def test_cache_reuse_is_byte_identical(capsys, tmp_path):
     assert doc["coefficients"] == json.loads(first)["coefficients"][:8]
 
 
-@pytest.mark.parametrize("name, prec", [("e6", 600), ("e4", 10)], ids=["other-name", "short"])
-def test_cache_misses_on_a_stale_file(tmp_path, name, prec):
-    # a file named e4__600.json must hold e4 to 600 before it answers for e4
+def entry_text(name, series, lines=None, **head):
+    """A cache entry in the documented layout: a JSON header line, then one hex
+    numerator per progression point in [valuation, precision). head overrides
+    header fields (None drops one); lines, when given, replaces the numerators."""
+    doc = {"tag": cli.CACHE_TAG, "name": name, "stride": series.stride,
+           "offset": series.offset, "valuation": series.valuation,
+           "precision": series.precision, "den": format(series.den, "x")} | head
+    if lines is None:
+        window = len(series.to_json_dict(name)["coefficients"])
+        lines = [format(c, "x") for c in series.nums] + ["0"] * (window - len(series.nums))
+    doc = {k: v for k, v in doc.items() if v is not None}
+    return "\n".join([json.dumps(doc)] + lines) + "\n"
+
+
+def e4_lines(count=600):
+    return [format(c, "x") for c in forms.eisenstein_e4(600).nums[:count]]
+
+
+def plant(tmp_path, filename, text):
     cache = tmp_path / "cache"
-    cache.mkdir()
-    forms._CONSTRUCTORS[name](prec).dump(cache / "e4__600.json", name)
+    cache.mkdir(exist_ok=True)
+    (cache / filename).write_text(text)
+    return cache
+
+
+def test_cache_entry_layout(tmp_path):
+    # _cache_store writes the documented layout, and a planted entry in it is a hit
+    e4, mplus = forms.eisenstein_e4(600), cli.build_series("mplus", 100)
+    cli._cache_store("e4", e4)
+    cache = tmp_path / "cache"
+    assert (cache / "e4__600.qs").read_text() == entry_text("e4", e4)
+    assert (cache / "mplus__100.qs").read_text() == entry_text("mplus", mplus)
+    assert entry_text("mplus", mplus).splitlines()[:3] == [
+        f'{{"tag": "{cli.CACHE_TAG}", "name": "mplus", "stride": 24, "offset": 23, '
+        '"valuation": -1, "precision": 100, "den": "c"}', "-1", "23"]
+    (cache / "e4__600.qs").unlink()
+    plant(tmp_path, "e4__300.qs", entry_text("e4", e4, lines=e4_lines(300), precision=300))
+    assert cli._cache_lookup("e4", 100) == forms.eisenstein_e4(100)
+
+
+# each entry, named e4__600.qs, breaks one rule a hit for e4 below q^100 needs
+STALE = {
+    "other-tag": lambda: entry_text("e4", forms.eisenstein_e4(600), tag="qspt 0.1.0 cache 0"),
+    "other-name": lambda: entry_text("e6", forms.eisenstein_e6(600)),
+    # all 600 numerators present, but the header claims a precision below the request
+    "short": lambda: entry_text("e4", forms.eisenstein_e4(600), precision=50),
+    "too-few-lines": lambda: entry_text("e4", forms.eisenstein_e4(600), lines=e4_lines(99)),
+}
+
+
+@pytest.mark.parametrize("case", STALE)
+def test_cache_misses_on_a_stale_file(tmp_path, case):
+    plant(tmp_path, "e4__600.qs", STALE[case]())
     assert cli._cache_lookup("e4", 100) is None
     assert cli.build_series("e4", 100) == forms.eisenstein_e4(100)
     assert cli._cache_lookup("e4", 100) == forms.eisenstein_e4(100)
 
 
-@pytest.mark.parametrize("content", ['{"name": "e4", "stride": 1, "coeff',
-                                     '{"name": "e4", "stride": 1}', '[1, 2]',
-                                     '{"name": "e4", "stride": 1, "offset": 0, "valuation": 0,'
-                                     ' "precision": 600, "coefficients": [["1", "0"]]}'],
-                         ids=["truncated", "missing-keys", "not-a-dict", "zero-denominator"])
-def test_cache_miss_on_an_unreadable_file(capsys, tmp_path, content):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    (cache / "e4__600.json").write_text(content)
+UNREADABLE = {
+    "truncated": lambda: entry_text("e4", forms.eisenstein_e4(600))[:40],
+    "missing-keys": lambda: entry_text("e4", forms.eisenstein_e4(600), den=None),
+    "not-a-dict": lambda: "\n".join(["[1, 2]"] + e4_lines()) + "\n",
+    "zero-denominator": lambda: entry_text("e4", forms.eisenstein_e4(600), den="0"),
+    "not-hex": lambda: entry_text("e4", forms.eisenstein_e4(600),
+                                  lines=e4_lines(40) + ["12g4"] + e4_lines()[41:]),
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE)
+def test_cache_miss_on_an_unreadable_file(capsys, tmp_path, case):
+    plant(tmp_path, "e4__600.qs", UNREADABLE[case]())
     assert cli._cache_lookup("e4", 100) is None
     code, out, _ = run(capsys, "series", "--name", "e4", "--prec", "100")
     assert code == 0
@@ -107,9 +161,42 @@ def test_cache_miss_on_an_unreadable_file(capsys, tmp_path, content):
     assert cli._cache_lookup("e4", 100) == forms.eisenstein_e4(100)
 
 
+def test_cache_ignores_entries_in_the_old_json_layout(tmp_path):
+    # a valid interchange document under the old name, and garbage: neither is read
+    cache = plant(tmp_path, "e6__600.json", "garbage")
+    forms.eisenstein_e4(600).dump(cache / "e4__600.json", "e4")
+    assert cli._cache_lookup("e4", 100) is None and cli._cache_lookup("e6", 100) is None
+    assert cli.build_series("e4", 100) == forms.eisenstein_e4(100)
+    assert sorted(f.name for f in cache.iterdir()) == ["e4__100.qs", "e4__600.json",
+                                                       "e6__600.json"]
+
+
+big = st.integers(-10 ** 6, 10 ** 6).map(lambda x: x * 10 ** 4400 + 1)
+
+
+@settings(deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(stride=st.sampled_from((1, 2, 24)), val=st.integers(-30, 10),
+       coeffs=st.lists(st.one_of(st.integers(-50, 50), big), max_size=12),
+       den=st.sampled_from((1, 2, 12, 3 ** 2000)), extra=st.integers(0, 3))
+def test_a_hit_at_every_precision_is_the_stored_series_truncated(tmp_path, stride, val,
+                                                                 coeffs, den, extra):
+    shutil.rmtree(tmp_path / "cache", ignore_errors=True)
+    prec = max(1, val + stride * (len(coeffs) + extra))
+    stored = LaurentSeries(stride, val % stride, val, prec, coeffs, den)
+    cli._cache_store("probe", stored)
+    for p in range(1, prec + 1):
+        hit, want = cli._cache_lookup("probe", p), stored.truncate(p)
+        # the fields the interchange document is written from; the document itself at three p
+        assert [getattr(hit, k) for k in hit.__slots__] == [getattr(want, k) for k in want.__slots__]
+        if p in (1, (prec + 1) // 2, prec):
+            assert hit.to_json_dict("probe") == want.to_json_dict("probe")
+    assert cli._cache_lookup("probe", prec + 1) is None
+
+
 def test_cache_entry_that_is_a_directory_is_a_miss(capsys, tmp_path):
     cache = tmp_path / "cache"
-    (cache / "e4__10.json").mkdir(parents=True)
+    (cache / "e4__10.qs").mkdir(parents=True)
     assert cli._cache_lookup("e4", 5) is None
     code, out, err = run(capsys, "series", "--name", "e4", "--prec", "5")
     assert code == 0 and "Traceback" not in err
@@ -128,9 +215,8 @@ def test_cache_that_cannot_be_written_exits_2(capsys, tmp_path, monkeypatch):
 
 
 def test_cache_directory_that_cannot_be_listed_is_a_miss(capsys, tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    forms.eisenstein_e4(10).dump(cache / "e4__10.json", "e4")
+    cli._cache_store("e4", forms.eisenstein_e4(10))
+    assert cli._cache_lookup("e4", 5) == forms.eisenstein_e4(5)
 
     def refuse(path):
         raise PermissionError(13, "Permission denied", path)
@@ -312,6 +398,48 @@ def test_hecke_paths_refuse_ell_past_71_at_once(capsys, counted, monkeypatch, ar
     assert (code, out) == (2, "")
     assert err == f"error: ell capped at delta_ell = (ell^2 - 1)/24 <= 210 (ell <= 71), got {ell}\n"
     assert counted["builds"] == [] and reached == []
+
+
+@pytest.mark.parametrize("argv, exponent, ell", [
+    (("verify", "cor1_4", "--ell", "10000000000037"), 2, 10000000000037),
+    (("verify", "congruences", "--ell", "10000000000037"), 2, 10000000000037),
+    (("verify", "cor1_4", "--ell", "1733"), 2, 1733),  # (1733^2 - 1)/24 = 125,137
+    (("verify", "cor1_4", "--ell", "71", "--m", "2"), 4, 71),  # (71^4 - 1)/24 = 1,058,820
+    (("verify", "congruences", "--ell", "5", "--m", "99999999999"), 199999999998, 5),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
+def test_congruences_past_the_row_cap_exit_2_before_the_primality_test(capsys, counted,
+                                                                       monkeypatch, argv,
+                                                                       exponent, ell):
+    # a stub is_prime refuses every ell, so a missing cap exits on another message, at once
+    reached = []
+    monkeypatch.setattr(arith, "is_prime", lambda n: reached.append(n))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: tables capped at row 125,000, and every index "
+                   f"(ell^{exponent} n -+ 1)/24 of ell = {ell} is past it\n")
+    assert counted["builds"] == [] and reached == []
+
+
+@pytest.mark.parametrize("name, prec", [("j", 1_000_000), ("alpha", 2401),
+                                        ("partition_gen24", 1_000_000), ("eta24", 2401),
+                                        ("r_ell:71", 2401), ("r_ell:5", 10 ** 30)])
+def test_series_past_the_precision_cap_exit_2_before_any_build(capsys, counted, monkeypatch,
+                                                               name, prec):
+    reached = []
+    for key in forms._CONSTRUCTORS:
+        monkeypatch.setitem(forms._CONSTRUCTORS, key, lambda P, key=key: reached.append(key))
+    monkeypatch.setattr(hecke, "r_ell_series", lambda ctx, P: reached.append("r_ell"))
+    monkeypatch.setattr(cli, "_cache_lookup", lambda *args: reached.append("cache"))
+    code, out, err = run(capsys, "series", "--name", name, "--prec", str(prec))
+    assert (code, out) == (2, "")
+    assert err == f"error: --prec capped at 2,400 for {name}, got {prec:,}\n"
+    assert counted["builds"] == [] and reached == []
+
+
+def test_series_at_the_precision_cap_is_built(capsys):
+    code, out, _ = run(capsys, "series", "--name", "e4", "--prec", "2400")
+    assert code == 0
+    assert LaurentSeries.from_json_dict(json.loads(out)) == forms.eisenstein_e4(2400)
 
 
 def test_verify_pass_exit_zero(capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qspt import arith
 from qspt import partitions as pt
 from qspt.errors import EnumerationLimit, QsptError, TableTooSmall
 from qspt.series import LaurentSeries, convolve
@@ -319,6 +320,27 @@ def test_spt_family_instances():
     assert inst == [(71, 74), (119, 124), (191, 199)]
     assert pt.spt_family_instances(7, 1, 200, "plus")[:3] == [
         (47, 96), (143, 292), (167, 341)]
+
+
+def test_congruence_families_test_the_prime_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(arith, "is_prime", lambda n, real=arith.is_prime: calls.append(n) or real(n))
+    assert pt.check_congruences("cor1_4", 200, ell=5).passed
+    assert pt.check_congruences("eq5", 200, ell=7).passed
+    assert calls == [5, 7]
+
+
+def test_congruence_families_refuse_a_smallest_index_past_the_cap(monkeypatch):
+    monkeypatch.setattr(pt, "MAX_TABLE_ROW", 1)
+    # (5^2 - 1)/24 = 1 is admitted, and no n <= 1 has an integral plus index
+    assert pt.check_congruences("cor1_4", 1, ell=5).compared == 0
+    assert pt.check_congruences("eq5", 1, ell=5, m=2).passed  # eq5 is mod ell, whatever m
+    for family, ell, m, exponent in (("cor1_4", 7, 1, 2), ("eq5", 7, 1, 2),
+                                     ("eq6", 5, 2, 4), ("all", 5, 2, 4)):
+        with pytest.raises(QsptError) as exc:
+            pt.check_congruences(family, 1, ell=ell, m=m)
+        assert str(exc.value) == (f"tables capped at row 1, and every index "
+                                  f"(ell^{exponent} n -+ 1)/24 of ell = {ell} is past it")
 
 
 def test_andrews_congruences():

@@ -307,7 +307,7 @@ def test_operations_match_a_fraction_reference(fa, ga, c):
         doc = h.to_json_dict("h")
         for p in {h.valuation - 1, h.valuation, (h.valuation + h.precision) // 2,
                   h.precision - 1, h.precision, h.precision + 1}:
-            loaded = LaurentSeries.from_json_dict(doc, p)
+            loaded = LaurentSeries.from_json_dict(doc).truncate(p)
             assert loaded == h.truncate(p)
             assert loaded.to_json_dict("h") == h.truncate(p).to_json_dict("h")
 
@@ -441,7 +441,7 @@ def test_json_load_below_a_precision_equals_truncation():
     f = LaurentSeries(24, 23, -1, 120, [Fraction(-1, 12), Fraction(35, 12), 0, 7, 0])
     doc = f.to_json_dict("sample")
     for prec in range(-3, 125):
-        assert (LaurentSeries.from_json_dict(doc, prec).to_json_dict("sample")
+        assert (LaurentSeries.from_json_dict(doc).truncate(prec).to_json_dict("sample")
                 == f.truncate(prec).to_json_dict("sample"))
 
 
