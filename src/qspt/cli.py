@@ -36,32 +36,19 @@ CACHE_TAG = "qspt 0.1.0 cache 1"
 MAX_SERIES_PREC = 2400
 
 
+def _cache_path(name: str) -> str:
+    return os.path.join(cache_dir(), name.replace(":", "_") + ".qs")
+
+
 def _cache_lookup(name: str, precision: int) -> LaurentSeries | None:
     """The cached series name truncated below precision, or None on a miss.
 
-    An entry <name>__<P>.qs holds a JSON header line (tag, name, stride, offset,
-    valuation, precision and the denominator in hex), then one line per
-    progression point in [valuation, P), its integer numerator in hex. A hit
-    reads only the lines below the requested precision."""
-    d = cache_dir()
+    The one entry of a series, <name>.qs, holds a JSON header line (tag, name,
+    stride, offset, valuation, precision and the denominator in hex), then one
+    line per progression point in [valuation, P), its integer numerator in hex.
+    A hit reads only the lines below the requested precision."""
     try:
-        entries = os.listdir(d)
-    except OSError:
-        return None  # no cache directory, or one that cannot be listed
-    prefix = name.replace(":", "_") + "__"
-    best = None
-    for fn in entries:
-        if fn.startswith(prefix) and fn.endswith(".qs"):
-            try:
-                prec = int(fn[len(prefix):-3])
-            except ValueError:
-                continue
-            if prec >= precision and (best is None or prec < best):
-                best = prec
-    if best is None:
-        return None
-    try:
-        with open(os.path.join(d, prefix + f"{best}.qs"), "rb") as fh:
+        with open(_cache_path(name), "rb") as fh:
             head = json.loads(fh.readline())
             if (head["tag"], head["name"]) != (CACHE_TAG, name) or head["precision"] < precision:
                 return None  # another algorithm's or another series' entry, or too short
@@ -73,12 +60,12 @@ def _cache_lookup(name: str, precision: int) -> LaurentSeries | None:
         return LaurentSeries._of(stride, head["offset"], min(val, precision), precision,
                                  nums, int(head["den"], 16))
     except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError):
-        return None  # an entry that cannot be read, or is not a series in this layout
+        return None  # no entry, or one that cannot be read or is not a series in this layout
 
 
 def _cache_store(name: str, series: LaurentSeries) -> None:
+    """Replace the entry of name by series."""
     d = cache_dir()
-    path = os.path.join(d, name.replace(":", "_") + f"__{series.precision}.qs")
     head = {"tag": CACHE_TAG, "name": name, "stride": series.stride, "offset": series.offset,
             "valuation": series.valuation, "precision": series.precision,
             "den": format(series.den, "x")}
@@ -89,7 +76,7 @@ def _cache_store(name: str, series: LaurentSeries) -> None:
             with os.fdopen(fd, "w") as fh:
                 fh.write(json.dumps(head) + "\n")
                 fh.write("".join(f"{c:x}\n" for c in series._window_nums()))
-            os.replace(tmp, path)
+            os.replace(tmp, _cache_path(name))
         except OSError:
             os.unlink(tmp)
             raise
@@ -97,26 +84,28 @@ def _cache_store(name: str, series: LaurentSeries) -> None:
         raise CacheError(f"cannot write the series cache {d!r}: {exc}") from exc
 
 
+# Every named series: a name of its own, or <kind>:<ell> for a prime ell.
+_SERIES = forms._CONSTRUCTORS | {"mplus": hecke.m_plus, "spt_gen24": hecke.spt_gen24}
+_SERIES_OF_ELL = {"m_ell": hecke.m_ell, "r_ell": hecke.r_ell_series}
+# These read the partition tables, so the table row cap bounds them, not MAX_SERIES_PREC.
+_ROW_CAPPED = ("mplus", "spt_gen24", "m_ell")
+
+
 def build_series(name: str, precision: int) -> LaurentSeries:
     """Construct any named series. The name is resolved, and the precision
     checked against its cap, before the file cache is consulted, so the cache
-    never answers for an unknown name or a refused request."""
+    never answers for an unknown name or a refused request. A miss replaces
+    the entry, so a stale or corrupt one is rebuilt by the first request that
+    meets it."""
     kind, _, ell = name.partition(":")
-    if name in forms._CONSTRUCTORS:
-        build = forms._CONSTRUCTORS[name]
-    elif name == "mplus":
-        build = hecke.m_plus
-    elif name == "spt_gen24":
-        build = hecke.spt_gen24
-    elif kind == "m_ell" and ell.isdecimal():
-        ctx = HeckeContext(int(ell))
-        build = lambda prec: hecke.m_ell(ctx, prec)
-    elif kind == "r_ell" and ell.isdecimal():
-        ctx = HeckeContext(int(ell))
-        build = lambda prec: hecke.r_ell_series(ctx, prec)
+    if name in _SERIES:
+        build = _SERIES[name]
+    elif kind in _SERIES_OF_ELL and ell.isdecimal():
+        ctx, of_ell = HeckeContext(int(ell)), _SERIES_OF_ELL[kind]
+        build = lambda prec: of_ell(ctx, prec)
     else:
         raise UnknownSeries(f"unknown series name {name!r}")
-    if precision > MAX_SERIES_PREC and not (name in ("mplus", "spt_gen24") or kind == "m_ell"):
+    if precision > MAX_SERIES_PREC and kind not in _ROW_CAPPED:
         raise QsptError(f"--prec capped at {MAX_SERIES_PREC:,} for {name}, got {precision:,}")
     cached = _cache_lookup(name, precision)
     if cached is not None:

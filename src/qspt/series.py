@@ -13,7 +13,6 @@ All values are immutable and every operation is a pure function.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from operator import add, mul
@@ -453,14 +452,3 @@ class LaurentSeries:
                                             for n, d in pairs)
         return cls._of(doc["stride"], doc["offset"], doc["valuation"], doc["precision"],
                        nums, den)
-
-    def dump(self, path, name: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(name), fh)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> tuple[str, "LaurentSeries"]:
-        with open(path) as fh:
-            doc = json.load(fh)
-        return doc["name"], cls.from_json_dict(doc)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qspt import arith, cli, forms, hecke, partitions
+from qspt import arith, cli, forms, partitions
 from qspt.partitions import StatTables
 from qspt.series import LaurentSeries
 
@@ -65,15 +65,15 @@ def test_series_out_file_round_trip(capsys, tmp_path):
     code, _, _ = run(capsys, "series", "--name", "delta", "--prec", "10",
                      "--out", str(path))
     assert code == 0
-    name, series = LaurentSeries.load(path)
-    assert name == "delta"
-    assert series == forms.delta_series(10)
+    doc = json.loads(path.read_text())
+    assert doc["name"] == "delta"
+    assert LaurentSeries.from_json_dict(doc) == forms.delta_series(10)
 
 
 def test_cache_reuse_is_byte_identical(capsys, tmp_path):
     _, first, _ = run(capsys, "series", "--name", "e4", "--prec", "12")
     cache = tmp_path / "cache"
-    assert any(f.name.startswith("e4__") for f in cache.iterdir())
+    assert [f.name for f in cache.iterdir()] == ["e4.qs"]
     _, second, _ = run(capsys, "series", "--name", "e4", "--prec", "12")
     assert first == second
     # a larger cached entry satisfies a smaller request by truncation
@@ -113,17 +113,16 @@ def test_cache_entry_layout(tmp_path):
     e4, mplus = forms.eisenstein_e4(600), cli.build_series("mplus", 100)
     cli._cache_store("e4", e4)
     cache = tmp_path / "cache"
-    assert (cache / "e4__600.qs").read_text() == entry_text("e4", e4)
-    assert (cache / "mplus__100.qs").read_text() == entry_text("mplus", mplus)
+    assert (cache / "e4.qs").read_text() == entry_text("e4", e4)
+    assert (cache / "mplus.qs").read_text() == entry_text("mplus", mplus)
     assert entry_text("mplus", mplus).splitlines()[:3] == [
         f'{{"tag": "{cli.CACHE_TAG}", "name": "mplus", "stride": 24, "offset": 23, '
         '"valuation": -1, "precision": 100, "den": "c"}', "-1", "23"]
-    (cache / "e4__600.qs").unlink()
-    plant(tmp_path, "e4__300.qs", entry_text("e4", e4, lines=e4_lines(300), precision=300))
+    plant(tmp_path, "e4.qs", entry_text("e4", e4, lines=e4_lines(300), precision=300))
     assert cli._cache_lookup("e4", 100) == forms.eisenstein_e4(100)
 
 
-# each entry, named e4__600.qs, breaks one rule a hit for e4 below q^100 needs
+# each entry, named e4.qs, breaks one rule a hit for e4 below q^100 needs
 STALE = {
     "other-tag": lambda: entry_text("e4", forms.eisenstein_e4(600), tag="qspt 0.1.0 cache 0"),
     "other-name": lambda: entry_text("e6", forms.eisenstein_e6(600)),
@@ -135,7 +134,7 @@ STALE = {
 
 @pytest.mark.parametrize("case", STALE)
 def test_cache_misses_on_a_stale_file(tmp_path, case):
-    plant(tmp_path, "e4__600.qs", STALE[case]())
+    plant(tmp_path, "e4.qs", STALE[case]())
     assert cli._cache_lookup("e4", 100) is None
     assert cli.build_series("e4", 100) == forms.eisenstein_e4(100)
     assert cli._cache_lookup("e4", 100) == forms.eisenstein_e4(100)
@@ -153,7 +152,7 @@ UNREADABLE = {
 
 @pytest.mark.parametrize("case", UNREADABLE)
 def test_cache_miss_on_an_unreadable_file(capsys, tmp_path, case):
-    plant(tmp_path, "e4__600.qs", UNREADABLE[case]())
+    plant(tmp_path, "e4.qs", UNREADABLE[case]())
     assert cli._cache_lookup("e4", 100) is None
     code, out, _ = run(capsys, "series", "--name", "e4", "--prec", "100")
     assert code == 0
@@ -164,11 +163,38 @@ def test_cache_miss_on_an_unreadable_file(capsys, tmp_path, case):
 def test_cache_ignores_entries_in_the_old_json_layout(tmp_path):
     # a valid interchange document under the old name, and garbage: neither is read
     cache = plant(tmp_path, "e6__600.json", "garbage")
-    forms.eisenstein_e4(600).dump(cache / "e4__600.json", "e4")
+    (cache / "e4__600.json").write_text(json.dumps(forms.eisenstein_e4(600).to_json_dict("e4")))
     assert cli._cache_lookup("e4", 100) is None and cli._cache_lookup("e6", 100) is None
     assert cli.build_series("e4", 100) == forms.eisenstein_e4(100)
-    assert sorted(f.name for f in cache.iterdir()) == ["e4__100.qs", "e4__600.json",
+    assert sorted(f.name for f in cache.iterdir()) == ["e4.qs", "e4__600.json",
                                                        "e6__600.json"]
+
+
+def test_cache_ignores_entries_in_the_per_precision_layout(tmp_path, monkeypatch):
+    # a valid entry under the old name <name>__<P>.qs is never opened, so never parsed
+    cache = plant(tmp_path, "e4__600.qs", entry_text("e4", forms.eisenstein_e4(600)))
+    opened = []
+    monkeypatch.setattr(cli, "open", lambda path, *a: opened.append(path) or open(path, *a),
+                        raising=False)
+    assert cli._cache_lookup("e4", 100) is None
+    assert opened == [str(cache / "e4.qs")]
+    assert cli.build_series("e4", 100) == forms.eisenstein_e4(100)
+    assert sorted(f.name for f in cache.iterdir()) == ["e4.qs", "e4__600.qs"]
+    assert cli._cache_lookup("e4", 100) == forms.eisenstein_e4(100)
+    assert cli._cache_lookup("e4", 600) is None
+
+
+def test_a_corrupt_entry_is_replaced_by_the_first_rebuild(tmp_path, monkeypatch):
+    cache = plant(tmp_path, "e4.qs", UNREADABLE["not-hex"]())
+    calls = []
+    e4 = cli._SERIES["e4"]  # forms._CONSTRUCTORS["e4"], as build_series resolves it
+    monkeypatch.setitem(cli._SERIES, "e4", lambda P: calls.append(P) or e4(P))
+    assert cli.build_series("e4", 500) == forms.eisenstein_e4(500)
+    assert calls == [500]
+    assert [f.name for f in cache.iterdir()] == ["e4.qs"]
+    for p in (500, 1, 300, 499):
+        assert cli.build_series("e4", p) == forms.eisenstein_e4(p)
+    assert calls == [500]
 
 
 big = st.integers(-10 ** 6, 10 ** 6).map(lambda x: x * 10 ** 4400 + 1)
@@ -195,13 +221,14 @@ def test_a_hit_at_every_precision_is_the_stored_series_truncated(tmp_path, strid
 
 
 def test_cache_entry_that_is_a_directory_is_a_miss(capsys, tmp_path):
+    # a miss, and the entry it cannot replace exits 2
     cache = tmp_path / "cache"
-    (cache / "e4__10.qs").mkdir(parents=True)
+    (cache / "e4.qs").mkdir(parents=True)
     assert cli._cache_lookup("e4", 5) is None
     code, out, err = run(capsys, "series", "--name", "e4", "--prec", "5")
-    assert code == 0 and "Traceback" not in err
-    assert LaurentSeries.from_json_dict(json.loads(out)) == forms.eisenstein_e4(5)
-    assert cli._cache_lookup("e4", 5) == forms.eisenstein_e4(5)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write the series cache") and "Traceback" not in err
+    assert [f.name for f in cache.iterdir()] == ["e4.qs"]
 
 
 def test_cache_that_cannot_be_written_exits_2(capsys, tmp_path, monkeypatch):
@@ -214,17 +241,17 @@ def test_cache_that_cannot_be_written_exits_2(capsys, tmp_path, monkeypatch):
     assert not_a_dir.read_text() == ""
 
 
-def test_cache_directory_that_cannot_be_listed_is_a_miss(capsys, tmp_path, monkeypatch):
+def test_a_hit_lists_no_directory(capsys, tmp_path, monkeypatch):
     cli._cache_store("e4", forms.eisenstein_e4(10))
-    assert cli._cache_lookup("e4", 5) == forms.eisenstein_e4(5)
 
-    def refuse(path):
+    def refuse(path="."):
         raise PermissionError(13, "Permission denied", path)
 
     monkeypatch.setattr(cli.os, "listdir", refuse)
-    assert cli._cache_lookup("e4", 5) is None
+    monkeypatch.setattr(cli.os, "scandir", refuse)
+    assert cli._cache_lookup("e4", 5) == forms.eisenstein_e4(5)
     code, out, err = run(capsys, "series", "--name", "e4", "--prec", "5")
-    assert code == 0 and "Traceback" not in err
+    assert (code, err) == (0, "")
     assert LaurentSeries.from_json_dict(json.loads(out)) == forms.eisenstein_e4(5)
 
 
@@ -278,7 +305,7 @@ def test_unknown_series_exit_code(capsys):
 def test_series_name_resolved_before_cache(capsys):
     code, _, _ = run(capsys, "series", "--name", "m_ell:5", "--prec", "24")
     assert code == 0
-    # the cache file of m_ell:5 is m_ell_5__24.json; it must not answer
+    # the cache entry of m_ell:5 is m_ell_5.qs; it must not answer
     for name in ("m_ell_5", "m_ell:x", "m_ell:", "r_ell:5.0"):
         code, out, err = run(capsys, "series", "--name", name, "--prec", "24")
         assert (code, out) == (2, "")
@@ -426,9 +453,10 @@ def test_congruences_past_the_row_cap_exit_2_before_the_primality_test(capsys, c
 def test_series_past_the_precision_cap_exit_2_before_any_build(capsys, counted, monkeypatch,
                                                                name, prec):
     reached = []
-    for key in forms._CONSTRUCTORS:
-        monkeypatch.setitem(forms._CONSTRUCTORS, key, lambda P, key=key: reached.append(key))
-    monkeypatch.setattr(hecke, "r_ell_series", lambda ctx, P: reached.append("r_ell"))
+    for key in cli._SERIES:
+        monkeypatch.setitem(cli._SERIES, key, lambda P, key=key: reached.append(key))
+    for key in cli._SERIES_OF_ELL:
+        monkeypatch.setitem(cli._SERIES_OF_ELL, key, lambda ctx, P, key=key: reached.append(key))
     monkeypatch.setattr(cli, "_cache_lookup", lambda *args: reached.append("cache"))
     code, out, err = run(capsys, "series", "--name", name, "--prec", str(prec))
     assert (code, out) == (2, "")
