@@ -14,7 +14,7 @@ import tempfile
 import time
 from itertools import islice
 
-from . import forms, hecke, partitions, verify
+from . import __version__, forms, hecke, partitions, verify
 from .errors import CacheError, QsptError, UnknownCheck, UnknownSeries
 from .hecke import HeckeContext
 from .series import LaurentSeries, _pp_count
@@ -27,7 +27,7 @@ def cache_dir() -> str:
 # The first line of every cache entry carries this tag. Bump it whenever a
 # constructor's algorithm changes, so that a cache never serves a series an
 # older algorithm built.
-CACHE_TAG = "qspt 0.1.0 cache 1"
+CACHE_TAG = f"qspt {__version__} cache 1"
 
 # The largest --prec of a series that reads no table (the table-backed mplus,
 # spt_gen24 and m_ell:<prime> meet the row cap instead). At 2,400 the slowest

@@ -3,8 +3,8 @@ sides of the closed-form identity for its Hecke image."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import forms, jbasis
 from .arith import legendre, require_hecke_prime
@@ -19,17 +19,18 @@ from .series import LaurentSeries
 MAX_DELTA = 210
 
 
-@dataclass(frozen=True)
-class HeckeContext:
+class HeckeContext(NamedTuple("HeckeContext", [("ell", int)])):
     """A prime ell >= 5 with delta_ell <= MAX_DELTA (ell <= 71), with its derived constants."""
 
-    ell: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, ell: int) -> HeckeContext:
+        self = super().__new__(cls, ell)
         if self.delta_ell > MAX_DELTA:  # before the trial division of require_hecke_prime
             raise QsptError(f"ell capped at delta_ell = (ell^2 - 1)/24 <= {MAX_DELTA} "
                             f"(ell <= 71), got {self.ell}")
         require_hecke_prime(self.ell)
+        return self
 
     @property
     def delta_ell(self) -> int:

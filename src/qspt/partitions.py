@@ -8,11 +8,11 @@ size guard.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .arith import euler_criterion, legendre, require_hecke_prime
 from .errors import EnumerationLimit, QsptError, TableTooSmall, UnknownCheck
@@ -241,8 +241,7 @@ def ustar_bruteforce(N: int) -> list[int]:
 # ----------------------------------------------------------------------
 # tables
 
-@dataclass(frozen=True)
-class StatTables:
+class StatTables(NamedTuple):
     """Immutable exact tables of p, spt, a and u* up to a build limit."""
 
     limit: int
@@ -305,7 +304,6 @@ def s_fn(n: int) -> int:
 
 
 def _isqrt_exact(m: int) -> int | None:
-    import math
     r = math.isqrt(m)
     return r if r * r == m else None
 
@@ -368,7 +366,7 @@ def c_formula(n: int, tables: StatTables) -> Fraction:
 def tables_via_ustar(tables: StatTables) -> StatTables:
     """The tables with their spt column rebuilt as 2a - u*, which the Corollary 1.5
     checks read in place of spt."""
-    return replace(tables, spt=tuple(2 * a - u for a, u in zip(tables.a, tables.ustar)))
+    return tables._replace(spt=tuple(2 * a - u for a, u in zip(tables.a, tables.ustar)))
 
 
 def c1_c2_decompositions(tables: StatTables) -> list[str]:

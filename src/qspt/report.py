@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import fraction_str
 from .errors import OutOfPrecision
 
 
-@dataclass
-class Mismatch:
+class Mismatch(NamedTuple):
     exponent: int
     lhs: Fraction
     rhs: Fraction
@@ -20,17 +19,18 @@ class Mismatch:
                 "rhs": fraction_str(self.rhs)}
 
 
-@dataclass
 class VerificationReport:
     """Outcome of one verification run, with per-exponent mismatches."""
 
-    check: str
-    parameters: dict = field(default_factory=dict)
-    window: tuple[int, int] = (0, 0)
-    mismatches: list[Mismatch] = field(default_factory=list)
-    runtime_ms: int = 0  # set by cli.cmd_verify around run_check
-    details: list[str] = field(default_factory=list)
-    compared: int = 0  # values compared; cli.cmd_verify reports it, to_dict leaves it out
+    def __init__(self, check: str, parameters: dict | None = None,
+                 window: tuple[int, int] = (0, 0)):
+        self.check = check
+        self.parameters = {} if parameters is None else parameters
+        self.window = window
+        self.mismatches: list[Mismatch] = []
+        self.runtime_ms = 0  # set by cli.cmd_verify around run_check
+        self.details: list[str] = []
+        self.compared = 0  # values compared: cmd_verify reports it, to_dict leaves it out
 
     @property
     def status(self) -> str:

@@ -1,8 +1,6 @@
 """Shared fixtures: one mid-size statistics table for the unit tests, and
 copies of it with one corrupted entry for fault injection; likewise for j."""
 
-import dataclasses
-
 import pytest
 
 from qspt import forms, partitions
@@ -25,7 +23,7 @@ def perturbed(tables, monkeypatch):
     def install(column, index, delta=1):
         col = getattr(tables, column)
         bumped = col[:index] + (col[index] + delta,) + col[index + 1:]
-        corrupted = dataclasses.replace(tables, **{column: bumped})
+        corrupted = tables._replace(**{column: bumped})
         monkeypatch.setattr(partitions, "_TABLES", corrupted)
         return corrupted
 

@@ -1,14 +1,18 @@
 """End-to-end CLI behavior: output formats, caching, exit codes."""
 
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import qspt
 from qspt import arith, cli, forms, partitions
 from qspt.partitions import StatTables
 from qspt.series import LaurentSeries
@@ -603,3 +607,31 @@ def test_verify_non_integral_exit_one(capsys, perturbed):
     doc = json.loads(out)
     assert doc["status"] == "fail"
     assert [m["exponent"] for m in doc["mismatches"]] == [71]
+
+
+# Run as `python -I -c _COLD_START SRC` with the src directory SRC.
+_COLD_START = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+from qspt import cli
+loaded = {"dataclasses", "inspect"} & (set(sys.modules) - before)
+if loaded:
+    sys.exit(f"import qspt.cli loaded {sorted(loaded)}")
+sys.exit(cli.main(["verify", "thm1_3", "--max-n", "5"]))
+"""
+
+
+def test_a_fresh_process_imports_the_cli_without_dataclasses_or_inspect():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-I", "-c", _COLD_START, src],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "pass"
+
+
+def test_the_cache_tag_names_the_package_version():
+    with open(os.path.join(os.path.dirname(__file__), "..", "pyproject.toml")) as fh:
+        version = re.search(r'^version = "([^"]+)"$', fh.read(), re.M).group(1)
+    assert version == qspt.__version__
+    assert cli.CACHE_TAG == f"qspt {version} cache 1"

@@ -32,6 +32,21 @@ def test_context_caps_delta_before_the_primality_test(monkeypatch):
     assert tested == []
 
 
+def test_context_is_an_immutable_value():
+    ctx = HeckeContext(5)
+    assert ctx == HeckeContext(5) and hash(ctx) == hash(HeckeContext(5))
+    assert ctx != HeckeContext(7)
+    assert repr(ctx) == "HeckeContext(ell=5)"
+    for attr in ("ell", "other"):
+        with pytest.raises(AttributeError):
+            setattr(ctx, attr, 7)
+    with pytest.raises(BadModulus, match=r"^ell must be a prime >= 5, got 4$"):
+        HeckeContext(4)
+    with pytest.raises(QsptError, match=r"^ell capped at delta_ell = \(ell\^2 - 1\)/24 <= 210 "
+                                        r"\(ell <= 71\), got 73$"):
+        HeckeContext(73)
+
+
 def test_spt_gen24():
     s = hecke.spt_gen24(480)
     assert s.stride == 24 and s.offset == 23

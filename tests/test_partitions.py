@@ -70,6 +70,19 @@ def test_sparse_division_equals_series_division(case, divisor):
     assert [quotient.coeff(n) for n in range(N + 1)] == pt._over_euler(N, kernel, divisor)
 
 
+def test_stat_tables_are_immutable_values():
+    t = pt.StatTables.build(3)
+    assert t == pt.StatTables.build(3) and hash(t) == hash(pt.StatTables.build(3))
+    assert t != pt.StatTables.build(4)
+    assert repr(t) == ("StatTables(limit=3, p=(1, 1, 2, 3), spt=(0, 1, 3, 5), "
+                       "a=(0, 1, 2, 2), ustar=(0, 1, 1, -1))")
+    for attr in ("spt", "other"):
+        with pytest.raises(AttributeError):
+            setattr(t, attr, ())
+    rebuilt = pt.tables_via_ustar(t)
+    assert type(rebuilt) is pt.StatTables and rebuilt == t
+
+
 def test_spt_bruteforce_matches_table():
     s = pt.spt_table(40)
     for n in range(1, 41):

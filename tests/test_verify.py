@@ -9,7 +9,7 @@ from qspt import forms, hecke, verify
 from qspt.hecke import HeckeContext
 from qspt.partitions import check_congruences
 from qspt.errors import OutOfPrecision
-from qspt.report import VerificationReport
+from qspt.report import Mismatch, VerificationReport
 
 
 def test_report_status():
@@ -21,6 +21,22 @@ def test_report_status():
     doc = rep.to_dict()
     assert doc["status"] == "fail"
     assert doc["mismatches"][0] == {"exponent": 4, "lhs": "1", "rhs": "2"}
+
+
+def test_each_report_starts_empty_and_shares_no_list():
+    rep, other = VerificationReport(check="x"), VerificationReport(check="x")
+    assert (rep.parameters, rep.window, rep.mismatches, rep.runtime_ms, rep.details,
+            rep.compared) == ({}, (0, 0), [], 0, [], 0)
+    rep.parameters["k"] = 1
+    rep.record(1, 1, 2)
+    rep.details.append("t: MISMATCH")
+    assert (other.parameters, other.mismatches, other.details, other.compared) == ({}, [], [], 0)
+
+
+def test_mismatch_to_dict():
+    m = Mismatch(4, Fraction(-1, 12), Fraction(5, 3))
+    assert list(m.to_dict().items()) == [("exponent", 4), ("lhs", "-1/12"), ("rhs", "5/3")]
+    assert repr(m) == "Mismatch(exponent=4, lhs=Fraction(-1, 12), rhs=Fraction(5, 3))"
 
 
 def test_report_past_the_digit_limit():
