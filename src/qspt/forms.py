@@ -62,7 +62,7 @@ def _over_delta(numerator: LaurentSeries, P: int) -> LaurentSeries:
     q^-1 numerator / ((q;q)_inf^3)^8, eight sparse divisions by Jacobi's (q;q)_inf^3."""
     x = numerator.nums
     for _ in range(8):
-        x = _over_euler(P, enumerate(x), triangular_terms)
+        x = _over_euler(P, x, triangular_terms)
     return LaurentSeries(1, 0, -1, P, x)
 
 

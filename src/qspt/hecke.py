@@ -100,7 +100,7 @@ def m_ell_closed_form(ctx: HeckeContext, P: int) -> LaurentSeries:
     division of the r_ell coefficients by the pentagonal terms of (q; q)_inf."""
     r = r_ell_series(ctx, P + 1)  # r_ell below q^(P+1) gives the product below q^P
     n = -((r.valuation - 1 - P) // 24)  # the points r.valuation - 1 + 24i below q^P
-    x = _over_euler(n - 1, enumerate(r.nums))
+    x = _over_euler(n - 1, r.nums)
     return LaurentSeries(24, 23, r.valuation - 1, P, [ctx.ell * c for c in x], 12)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain, islice
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .arith import euler_criterion, legendre, require_hecke_prime
@@ -46,16 +46,16 @@ def triangular_terms(limit: int) -> list[tuple[int, int]]:
     return out
 
 
-def _over_euler(N: int, kernel: Iterable[tuple[int, int]],
+def _over_euler(N: int, kernel: Iterable[int],
                 divisor: Callable[[int], list[tuple[int, int]]] = pentagonal_terms) -> list[int]:
-    """x(0..N) solving D(q) X = sum w q^e over the (e, w) pairs of kernel
-    (0 <= e <= N), where D = sum d_g q^g, d_0 = 1, has the sparse terms that
-    divisor(N + 1) lists: pentagonal_terms for D = (q;q)_inf, so that X is P(q)
-    times the kernel, or triangular_terms for D = (q;q)_inf^3. The recurrence is
+    """x(0..N) solving D(q) X = K(q), where kernel yields the coefficients of K
+    from q^0 on (those past q^N are not read, missing ones are 0) and
+    D = sum d_g q^g, d_0 = 1, has the sparse terms that divisor(N + 1) lists:
+    pentagonal_terms for D = (q;q)_inf, so that X is P(q) times the kernel, or
+    triangular_terms for D = (q;q)_inf^3. The recurrence is
     x[n] = kernel[n] - sum_{0 < g <= n} d_g x[n - g]."""
-    x = [0] * (N + 1)
-    for e, w in kernel:
-        x[e] += w
+    x = list(islice(kernel, N + 1))
+    x += [0] * (N + 1 - len(x))
     # the g with d_g = -1 add and those with d_g = 1 subtract, with no multiply;
     # any other d_g is scaled; each g joins when n reaches it
     add, sub, scaled = [], [], []
@@ -81,24 +81,62 @@ def _over_euler(N: int, kernel: Iterable[tuple[int, int]],
 
 def p_table(N: int) -> list[int]:
     """p(0..N): P(q) = 1/(q;q)_inf by the Euler pentagonal recurrence."""
-    return _over_euler(N, [(0, 1)])
+    return _over_euler(N, [1])
 
 
 def spt_table(N: int) -> list[int]:
     """spt(0..N) by Andrews' identity: P(q) times
     sum sigma(n) q^n + sum_{n>=1} (-1)^n q^(n(3n+1)/2) (1+q^n)/(1-q^n)^2."""
-    sigma = ((e, d) for d in range(1, N + 1) for e in range(d, N + 1, d))
-    # (1+x)/(1-x)^2 = sum_k (2k+1) x^k
-    pentagonal = ((e, (-1) ** n * (2 * k + 1)) for n in range(1, N + 1)
-                  for k, e in enumerate(range(n * (3 * n + 1) // 2, N + 1, n)))
-    return _over_euler(N, chain(sigma, pentagonal))
+    k = [0] * (N + 1)
+    for d in range(1, N + 1):  # sigma(e) = sum of the divisors d of e
+        k[d::d] = [v + d for v in k[d::d]]
+    # (1+x)/(1-x)^2 = sum_j (2j+1) x^j
+    n = 1
+    while (start := n * (3 * n + 1) // 2) <= N:
+        s = -1 if n & 1 else 1
+        k[start::n] = [v + c for v, c in zip(k[start::n], range(s, s * (2 * N + 1), 2 * s))]
+        n += 1
+    return _over_euler(N, k)
+
+
+def _a_kernel(N: int) -> list[int]:
+    """sum_n (-1)^(n-1) n q^(n(n+1)/2)/(1-q^n) below q^(N+1), which P(q) multiplies into A(q)."""
+    k = [0] * (N + 1)
+    n = 1
+    while (start := n * (n + 1) // 2) <= N:
+        c = n if n & 1 else -n
+        k[start::n] = [v + c for v in k[start::n]]
+        n += 1
+    return k
 
 
 def a_table(N: int) -> list[int]:
     """a(0..N): coefficients of
     (1/(q;q)_inf) * sum_n (-1)^(n-1) n q^(n(n+1)/2)/(1-q^n)."""
-    return _over_euler(N, ((e, (-1) ** (n - 1) * n) for n in range(1, N + 1)
-                           for e in range(n * (n + 1) // 2, N + 1, n)))
+    return _over_euler(N, _a_kernel(N))
+
+
+def packing_shift(N: int) -> int:
+    """A shift B with p(n) < 2^B for every n <= N, from p(n) < exp(pi sqrt(2n/3))
+    (Apostol, Introduction to Analytic Number Theory, Thm 14.5) and a margin bit
+    for the float rounding."""
+    return int(math.pi * math.sqrt(2 * N / 3) / math.log(2)) + 2
+
+
+def p_and_a_tables(N: int) -> tuple[list[int], list[int]]:
+    """(p_table(N), a_table(N)) from one recurrence: both are P(q) times a kernel,
+    so x = p + a 2^B solves it with the kernel 1 + 2^B K_a. As 0 <= p < 2^B, p is
+    x mod 2^B and a is x >> B (the floor of x / 2^B) exactly, whatever the sign of a."""
+    B = packing_shift(N)
+    # p's kernel is 1 and a's has no constant term; the shifted kernel is a
+    # generator, so its wide integers live only in x, each until its row is solved
+    x = _over_euler(N, chain([1], (v << B for v in _a_kernel(N)[1:])))
+    mask = (1 << B) - 1
+    p = []
+    for i, v in enumerate(x):  # a takes x's place, so each packed row goes as it is read
+        p.append(v & mask)
+        x[i] = v >> B
+    return p, x
 
 
 # ----------------------------------------------------------------------
@@ -158,54 +196,52 @@ def t_signed(parts: Sequence[int]) -> int:
     return total
 
 
-def ts_sum_bruteforce(n: int) -> int:
-    """Sum of the signed triangular weight over all partitions of n.
+def ts_sum_bruteforce(N: int) -> list[int]:
+    """[the sum of t_signed over the partitions of n, for n in 0..N].
 
-    The accelAsc walk of iter_partitions, building no part list: each prefix
-    a[:i] keeps its run state, so each partition adds its weight in O(1).
-    Parts come in ascending order, so once a prefix skips a size its run stays
-    broken and its weight stays fixed."""
-    enumeration_guard("partition", n)
-    a = [0] * (n + 1)
-    # run[i]: the largest part L while a[:i] has exactly the part sizes 1..L,
-    # -1 (which matches no part) once that run is broken; wt[i]: the signed
-    # weight of a[:i]
-    run = [0] * (n + 1)
-    wt = [0] * (n + 1)
-    total = 0
-    k = 1
-    y = n - 1
-    while k != 0:
-        x = a[k - 1] + 1
-        k -= 1
-        L = run[k]
-        w = wt[k]
-        while 2 * x <= y:
-            a[k] = x
-            if x == L or x == L + 1:
-                L = x
-                w += x if x & 1 else -x
-            else:
-                L = -1
-            y -= x
-            k += 1
-            run[k] = L
-            wt[k] = w
-        while x <= y:  # the partition a[:k] + [x, y]
-            if x == L or x == L + 1:
-                t = w + (x if x & 1 else -x)
-                if y - x <= 1:
-                    t += y if y & 1 else -y
-                total += t
-            else:
-                total += w
-            x += 1
-            y -= 1
-        v = x + y  # the partition a[:k] + [v], v above every part of a[:k]
-        total += w + (v if v & 1 else -v) if v == L + 1 else w
-        a[k] = v
-        y = v - 1
-    return total
+    One walk visits each ascending prefix nu with |nu| + max(nu) <= N once:
+    every nonempty partition is such a prefix followed by its largest part
+    y >= max(nu). Parts come in ascending order, so once a prefix skips a size
+    its run stays broken and every partition it starts has its weight w. A
+    prefix whose sizes are exactly 1..L gives w to every y but y = L and
+    y = L + 1, which add one more term to the run. So w goes to every size
+    from |nu| + max(nu) on through one suffix-sum entry, and the two
+    exceptions add their extra term at their own size."""
+    enumeration_guard("partition", N)
+    # shared[n]: weight given to every size from n on; extra[n]: to size n alone
+    shared = [0] * (N + 2)
+    extra = [0] * (N + 2)
+
+    def broken(s: int, m: int, w: int) -> None:  # nu: sum s, largest part m, weight w
+        shared[s + m] += w
+        top = (N - s) // 2
+        leaves = max(m, (N - s) // 3 + 1)  # nu + [x] has no extension from x = leaves on
+        for x in range(m, leaves):
+            broken(s + x, x, w)
+        for x in range(leaves, top + 1):
+            shared[s + 2 * x] += w
+
+    def run(s: int, L: int, w: int) -> None:  # nu: sum s, the sizes 1..L exactly, weight w
+        t, t1 = (L, -L - 1) if L & 1 else (-L, L + 1)  # the terms of y = L and y = L + 1
+        shared[s + L] += w
+        extra[s + L] += t
+        extra[s + L + 1] += t1
+        top = (N - s) // 2
+        if L <= top:
+            run(s + L, L, w + t)
+            if L < top:
+                run(s + L + 1, L + 1, w + t1)
+        for x in range(L + 2, top + 1):
+            broken(s + x, x, w)
+
+    # the empty prefix: the partition 1 weighs 1, and any other y weighs 0
+    if N >= 1:
+        extra[1] = 1
+    if N >= 2:
+        run(1, 1, 1)
+    for x in range(2, N // 2 + 1):  # the prefixes [x]: no part 1, so weight 0
+        broken(x, x, 0)
+    return [acc + e for acc, e in zip(accumulate(shared[:N + 1]), extra)]
 
 
 def _distinct_parts(limit: int, maxpart: int) -> Iterator[list[int]]:
@@ -252,9 +288,8 @@ class StatTables(NamedTuple):
 
     @classmethod
     def build(cls, N: int) -> "StatTables":
-        p = p_table(N)
-        spt = spt_table(N)
-        a = a_table(N)
+        spt = spt_table(N)  # first: its pass then holds no p and a columns
+        p, a = p_and_a_tables(N)
         ustar = [-s + 2 * x for s, x in zip(spt, a)]
         return cls(N, tuple(p), tuple(spt), tuple(a), tuple(ustar))
 
@@ -265,7 +300,7 @@ class StatTables(NamedTuple):
 
 _TABLES: StatTables | None = None
 # The deepest row stat_tables builds: it admits congruences --ell 5 --m 3, the deepest
-# request measured, which reads row 124,349 (21-31 s on a 2-vCPU VM).
+# request measured, which reads row 124,349 (19-24 s and 85 MiB on a 2-vCPU VM).
 MAX_TABLE_ROW = 125_000
 
 

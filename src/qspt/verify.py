@@ -27,8 +27,9 @@ def verify_thm1_3(max_n: int) -> VerificationReport:
     rep = VerificationReport(check="thm1_3", parameters={"max_n": max_n},
                              window=(1, max_n + 1))
     tables = partitions.stat_tables(max_n)
+    ts = partitions.ts_sum_bruteforce(max_n)
     for n in range(1, max_n + 1):
-        rep.record(n, partitions.ts_sum_bruteforce(n), tables.a[n])
+        rep.record(n, ts[n], tables.a[n])
     return rep
 
 

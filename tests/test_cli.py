@@ -517,6 +517,26 @@ def test_verify_thm1_1_perturbed_j_exit_one(capsys, perturbed_j):
     assert [m["exponent"] for m in doc["mismatches"]] == list(range(23, 240, 24))
 
 
+@pytest.mark.parametrize("check, oracle, bumped", [("thm1_3", "ts_sum_bruteforce", 17),
+                                                    ("eq17", "ustar_bruteforce", 13)])
+def test_verify_perturbed_oracle_exit_one(capsys, monkeypatch, check, oracle, bumped):
+    # the enumeration side fails too: its true list with one entry off by one
+    true = getattr(partitions, oracle)
+
+    def off_by_one(N):
+        values = true(N)
+        values[bumped] += 1
+        return values
+
+    monkeypatch.setattr(partitions, oracle, off_by_one)
+    code, out, err = run(capsys, "verify", check, "--max-n", "20")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "fail"
+    assert [m["exponent"] for m in doc["mismatches"]] == [bumped]
+    assert re.fullmatch(rf"{check}: fail \(1 mismatches of 20 compared, \d+ ms\)\n", err)
+
+
 def test_verify_thm1_3_enumeration_guard_exit_two(capsys):
     code, out, err = run(capsys, "verify", "thm1_3", "--max-n", "61")
     assert (code, out) == (2, "")
@@ -628,6 +648,21 @@ def test_a_fresh_process_imports_the_cli_without_dataclasses_or_inspect():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["status"] == "pass"
+
+
+def test_a_stdout_closed_after_the_first_line_exits_two_without_a_traceback(tmp_path):
+    # the 3,000 rows overflow the pipe's buffer, so the writer meets the closed end
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src, QSPT_CACHE=str(tmp_path / "cache"))
+    with open(tmp_path / "stderr", "w+") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "qspt.cli", "table", "--name", "p",
+                                 "--max-n", "3000"], stdout=subprocess.PIPE, stderr=err, env=env)
+        with proc.stdout:
+            assert proc.stdout.readline() == b"n,value\n"
+        assert proc.wait(timeout=120) == 2
+        err.seek(0)
+        text = err.read()
+    assert re.fullmatch(r"error: [^\n]+\n", text), text
 
 
 def test_the_cache_tag_names_the_package_version():

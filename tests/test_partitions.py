@@ -52,7 +52,7 @@ def test_over_euler_is_p_times_the_kernel(case):
     dense = [0] * (N + 1)
     for e, w in kernel:
         dense[e] += w
-    assert pt._over_euler(N, kernel) == convolve(_p_by_parts(N), dense, N + 1)
+    assert pt._over_euler(N, dense) == convolve(_p_by_parts(N), dense, N + 1)
 
 
 @given(sparse_kernels(), st.sampled_from((pt.pentagonal_terms, pt.triangular_terms)))
@@ -67,7 +67,7 @@ def test_sparse_division_equals_series_division(case, divisor):
         d[g] = c
     quotient = LaurentSeries(1, 0, 0, N + 1, dense) / LaurentSeries(1, 0, 0, N + 1, d)
     assert quotient.precision == N + 1
-    assert [quotient.coeff(n) for n in range(N + 1)] == pt._over_euler(N, kernel, divisor)
+    assert [quotient.coeff(n) for n in range(N + 1)] == pt._over_euler(N, dense, divisor)
 
 
 def test_stat_tables_are_immutable_values():
@@ -130,6 +130,17 @@ def test_a_table_values():
     assert a[1:7] == [1, 2, 2, 5, 6, 14]
 
 
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 4, 5, 24, 625, 1225, 2501])
+def test_packed_pass_equals_the_two_tables(N):
+    assert pt.p_and_a_tables(N) == (pt.p_table(N), pt.a_table(N))
+
+
+def test_packing_shift_clears_p():
+    # a margin bit beyond p(N) for every N, so p never carries into a's bits
+    p = pt.p_table(3000)
+    assert all(pt.packing_shift(N) > p[N].bit_length() for N in range(3001))
+
+
 def test_t_signed_examples():
     # weight is the alternating sum (+1)m_1 (-2)m_2 (+3)m_3 ... over the
     # maximal initial run of part sizes, zero when 1 is absent
@@ -165,9 +176,7 @@ def test_t_signed_matches_multiplicity_definition(parts, rng):
 
 
 def test_ts_sum_matches_a_table():
-    a = pt.a_table(45)
-    for n in range(1, 46):
-        assert pt.ts_sum_bruteforce(n) == a[n]
+    assert pt.ts_sum_bruteforce(45) == pt.a_table(45)
 
 
 def _ts_sum_by_lists(n):
@@ -177,8 +186,10 @@ def _ts_sum_by_lists(n):
 
 
 def test_ts_sum_matches_part_list_sum():
-    for n in range(0, 31):
-        assert pt.ts_sum_bruteforce(n) == _ts_sum_by_lists(n)
+    # every N <= 30 as the top of the walk, each against the sums by part lists
+    sums = [_ts_sum_by_lists(n) for n in range(31)]
+    for N in range(31):
+        assert pt.ts_sum_bruteforce(N) == sums[:N + 1]
 
 
 def test_ts_sum_enumeration_guard():
