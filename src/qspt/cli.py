@@ -31,8 +31,8 @@ CACHE_TAG = f"qspt {__version__} cache 1"
 
 # The largest --prec of a series that reads no table (the table-backed mplus,
 # spt_gen24 and m_ell:<prime> meet the row cap instead). At 2,400 the slowest
-# such names take 27 s (r_ell:71) and 8 s (alpha, 21,736-bit coefficients) on a
-# 2-vCPU VM.
+# such names take 27 s (r_ell:71) and 7.5-7.7 s (alpha, 21,736-bit coefficients)
+# on a 2-vCPU VM.
 MAX_SERIES_PREC = 2400
 
 

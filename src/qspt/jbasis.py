@@ -97,7 +97,8 @@ def eval_at_series(polys: Sequence[IntPolynomial], s: LaurentSeries) -> list[Lau
     is lower (s of negative valuation), as by Horner's scheme; the zero polynomial
     gives zero below precision(s) - valuation(s)."""
     powers = [s.pow(0), s]
-    while len(powers) <= max((p.degree for p in polys), default=0):
+    top = max((p.degree for p in polys), default=0)
+    while len(powers) <= top:
         powers.append(powers[-1] * s)
     return [_combine(p.coefficients, powers) for p in polys]
 

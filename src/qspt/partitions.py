@@ -12,7 +12,7 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, chain, islice
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .arith import euler_criterion, legendre, require_hecke_prime
 from .errors import EnumerationLimit, QsptError, TableTooSmall, UnknownCheck
@@ -46,35 +46,25 @@ def triangular_terms(limit: int) -> list[tuple[int, int]]:
     return out
 
 
-def _over_euler(N: int, kernel: Iterable[int],
-                divisor: Callable[[int], list[tuple[int, int]]] = pentagonal_terms) -> list[int]:
-    """x(0..N) solving D(q) X = K(q), where kernel yields the coefficients of K
-    from q^0 on (those past q^N are not read, missing ones are 0) and
-    D = sum d_g q^g, d_0 = 1, has the sparse terms that divisor(N + 1) lists:
-    pentagonal_terms for D = (q;q)_inf, so that X is P(q) times the kernel, or
-    triangular_terms for D = (q;q)_inf^3. The recurrence is
-    x[n] = kernel[n] - sum_{0 < g <= n} d_g x[n - g]."""
+def _over_euler(N: int, kernel: Iterable[int]) -> list[int]:
+    """x(0..N) solving (q;q)_inf X = K(q), so that X is P(q) times the kernel,
+    where kernel yields the coefficients of K from q^0 on (those past q^N are
+    not read, missing ones are 0). With the pentagonal terms d_g = +-1 of
+    (q;q)_inf the recurrence is x[n] = kernel[n] - sum_{0 < g <= n} d_g x[n - g]."""
     x = list(islice(kernel, N + 1))
     x += [0] * (N + 1 - len(x))
     # the g with d_g = -1 add and those with d_g = 1 subtract, with no multiply;
-    # any other d_g is scaled; each g joins when n reaches it
-    add, sub, scaled = [], [], []
-    terms = [(g, d) for g, d in divisor(N + 1) if g > 0] + [(N + 1, 0)]
+    # each g joins when n reaches it
+    add, sub = [], []
+    terms = pentagonal_terms(N + 1)[1:] + [(N + 1, 0)]
     for (g, d), (end, _) in zip(terms, terms[1:]):
-        if d == -1:
-            add.append(g)
-        elif d == 1:
-            sub.append(g)
-        else:
-            scaled.append((g, d))
+        (add if d == -1 else sub).append(g)
         for n in range(g, end):
             acc = x[n]
             for h in add:
                 acc += x[n - h]
             for h in sub:
                 acc -= x[n - h]
-            for h, c in scaled:
-                acc -= c * x[n - h]
             x[n] = acc
     return x
 

@@ -353,10 +353,13 @@ class LaurentSeries:
         num = f._window_nums()[:n]
         den = g._window_nums()[:n]
         a0 = den[0]
-        w = [x * a0 ** i for i, x in enumerate(den[1:])]  # A_i a0^(i-1)
+        # A_i a0^(i-1), from the last i down, so that each dot product pairs H_0
+        # with A_k a0^(k-1) and adds its terms smallest first, as the quotient grows
+        w = [x * a0 ** i for i, x in enumerate(den[1:])][::-1]
+        m = len(w)
         h = []
         for k, x in enumerate(num):
-            h.append(a0 ** k * x - sum(map(mul, w, reversed(h))))
+            h.append(a0 ** k * x - sum(map(mul, h, w[m - k:])))
         cs = [g.den * x * a0 ** (n - 1 - k) for k, x in enumerate(h)]
         return LaurentSeries._of(s, val % s, val, prec, cs, f.den * a0 ** n)
 

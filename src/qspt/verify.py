@@ -69,7 +69,7 @@ def verify_internal_identities(ncoeffs: int = 500, poly_max: int = 30) -> Verifi
     # j * Delta is known one coefficient short of P, and the basis chain
     # reads poly_max + 2 coefficients of j.
     P = max(ncoeffs, poly_max + 1) + 1
-    e4 = forms.eisenstein_e4(P)
+    e4_cubed = forms.eisenstein_e4(P).pow(3)
     e6 = forms.eisenstein_e6(P)
     delta = forms.delta_series(P)
     euler = forms.euler_series(P)
@@ -77,10 +77,10 @@ def verify_internal_identities(ncoeffs: int = 500, poly_max: int = 30) -> Verifi
     jp = forms.jprime_neg_series(P)
 
     rep.compare(delta, euler.pow(24).shift(1), hi=ncoeffs, tag="delta = eta^24")
-    rep.compare(delta, (e4.pow(3) - e6.pow(2)).scale(Fraction(1, 1728)), hi=ncoeffs,
+    rep.compare(delta, (e4_cubed - e6.pow(2)).scale(Fraction(1, 1728)), hi=ncoeffs,
                 tag="delta = (E4^3 - E6^2)/1728")
     rep.compare(jp, -j.q_derive(), hi=ncoeffs, tag="-q dj/dq = E4^2 E6/Delta")
-    rep.compare(j * delta, e4.pow(3), hi=ncoeffs, tag="j * Delta = E4^3")
+    rep.compare(j * delta, e4_cubed, hi=ncoeffs, tag="j * Delta = E4^3")
 
     # The chain alpha J_n(j) = B_n(j) = alpha q^-n + O(q) holds modulo
     # O(q); exact equality of the first pair is impossible on weight

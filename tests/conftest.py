@@ -43,3 +43,18 @@ def perturbed_j(monkeypatch):
         monkeypatch.setattr(forms, "j_series", bumped)
 
     return install
+
+
+@pytest.fixture
+def perturbed_sigma11(monkeypatch):
+    """Make the Eisenstein sieve that builds j's numerator 691 E12 add 1 to its
+    coefficient of q^exponent wherever that coefficient is known."""
+    sieve = forms._eisenstein
+
+    def install(exponent):
+        def bumped(P, power, factor, lead=1):
+            s = sieve(P, power, factor, lead)
+            return s + LaurentSeries(1, 0, exponent, P, [1]) if power == 11 and exponent < P else s
+        monkeypatch.setattr(forms, "_eisenstein", bumped)
+
+    return install

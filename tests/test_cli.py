@@ -537,6 +537,33 @@ def test_verify_perturbed_oracle_exit_one(capsys, monkeypatch, check, oracle, bu
     assert re.fullmatch(rf"{check}: fail \(1 mismatches of 20 compared, \d+ ms\)\n", err)
 
 
+@pytest.mark.parametrize("check, column, row, exponents, compared", [
+    # u* - 2a at the family's indices 74, 124 and 199 (ell = 5, n <= 200)
+    ("cor1_4", "a", 124, [124], 3),
+    # spt(99) = spt(25*4 - 1) is read by c(n) through spt for n = 4 + g,
+    # g pentagonal; the column 2a - u* and j do not move
+    ("cor1_5", "spt", 99, [4, 5, 6, 9, 11, 16, 19], 40),
+])
+def test_verify_corollaries_perturbed_tables_exit_one(capsys, perturbed, check, column, row,
+                                                      exponents, compared):
+    perturbed(column, row)
+    code, out, err = run(capsys, "verify", check)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "fail"
+    assert [m["exponent"] for m in doc["mismatches"]] == exponents
+    assert re.fullmatch(rf"{doc['check']}: fail \({len(exponents)} mismatches of {compared} "
+                        rf"compared, \d+ ms\)\n", err)
+
+
+def test_series_j_with_a_numerator_691_does_not_divide_exits_2(capsys, perturbed_sigma11):
+    perturbed_sigma11(7)
+    code, out, err = run(capsys, "series", "--name", "j", "--prec", "50")
+    assert (code, out) == (2, "")
+    assert err == ("error: 691 E12 / Delta + 432000 has a coefficient that 691 "
+                   "does not divide\n")
+
+
 def test_verify_thm1_3_enumeration_guard_exit_two(capsys):
     code, out, err = run(capsys, "verify", "thm1_3", "--max-n", "61")
     assert (code, out) == (2, "")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qspt import arith
+from qspt import arith, forms
 from qspt import partitions as pt
 from qspt.errors import EnumerationLimit, QsptError, TableTooSmall
 from qspt.series import LaurentSeries, convolve
@@ -55,19 +55,23 @@ def test_over_euler_is_p_times_the_kernel(case):
     assert pt._over_euler(N, dense) == convolve(_p_by_parts(N), dense, N + 1)
 
 
-@given(sparse_kernels(), st.sampled_from((pt.pentagonal_terms, pt.triangular_terms)))
-def test_sparse_division_equals_series_division(case, divisor):
-    # (q;q)_inf or (q;q)_inf^3 from its sparse terms, divided out by LaurentSeries /
+@given(sparse_kernels(), st.booleans())
+def test_sparse_division_equals_series_division(case, jacobi):
+    # (q;q)_inf from its pentagonal terms, or (q;q)_inf^3 from Jacobi's raised to
+    # the 8th power, divided out by LaurentSeries /: the pentagonal recurrence,
+    # or the packed pass of forms that runs the eight divisions by (q;q)_inf^3 at once
     N, kernel = case
     dense = [0] * (N + 1)
     for e, w in kernel:
         dense[e] += w
+    terms, power = (pt.triangular_terms, 8) if jacobi else (pt.pentagonal_terms, 1)
     d = [0] * (N + 1)
-    for g, c in divisor(N + 1):
+    for g, c in terms(N + 1):
         d[g] = c
-    quotient = LaurentSeries(1, 0, 0, N + 1, dense) / LaurentSeries(1, 0, 0, N + 1, d)
+    quotient = LaurentSeries(1, 0, 0, N + 1, dense) / LaurentSeries(1, 0, 0, N + 1, d).pow(power)
     assert quotient.precision == N + 1
-    assert [quotient.coeff(n) for n in range(N + 1)] == pt._over_euler(N, dense, divisor)
+    solved = forms._over_delta(dense, N) if jacobi else pt._over_euler(N, dense)
+    assert [quotient.coeff(n) for n in range(N + 1)] == solved
 
 
 def test_stat_tables_are_immutable_values():
