@@ -140,6 +140,7 @@ _TABLES = ("p", "spt", "a", "ustar", "s", "c_formula")
 
 def cmd_table(args) -> int:
     name, max_n = args.name, args.max_n
+    partitions.require_table_row(max_n)  # s reads no table, but its rows are capped too
     if name == "s":
         values = [(n, partitions.s_fn(n)) for n in range(1, max_n + 1)]
     elif name == "c_formula":

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, repeat
+from operator import add, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .arith import euler_criterion, legendre, require_hecke_prime
@@ -46,26 +47,33 @@ def triangular_terms(limit: int) -> list[tuple[int, int]]:
     return out
 
 
+def _reader(offsets: list[int]):
+    """x -> the items x[h] for h in offsets, as a sequence: one itemgetter, save
+    for fewer than two offsets, where an itemgetter returns no tuple, and for 20,
+    as CPython 3.11 and 3.12 put every freed 20-tuple on a free list that never
+    hands it out again (up to 2,000 of them, 400 KB)."""
+    if len(offsets) < 2 or len(offsets) == 20:
+        return lambda x: [x[h] for h in offsets]
+    return itemgetter(*offsets)
+
+
 def _over_euler(N: int, kernel: Iterable[int]) -> list[int]:
     """x(0..N) solving (q;q)_inf X = K(q), so that X is P(q) times the kernel,
     where kernel yields the coefficients of K from q^0 on (those past q^N are
     not read, missing ones are 0). With the pentagonal terms d_g = +-1 of
     (q;q)_inf the recurrence is x[n] = kernel[n] - sum_{0 < g <= n} d_g x[n - g]."""
-    x = list(islice(kernel, N + 1))
-    x += [0] * (N + 1 - len(x))
-    # the g with d_g = -1 add and those with d_g = 1 subtract, with no multiply;
-    # each g joins when n reaches it
-    add, sub = [], []
-    terms = pentagonal_terms(N + 1)[1:] + [(N + 1, 0)]
+    ks = chain(islice(kernel, N + 1), repeat(0))
+    x = []
+    # the g with d_g = -1 add and those with d_g = 1 subtract, with no multiply; each
+    # g joins when n reaches it, read as x[-g] from the rows so far
+    plus, minus = [], []
+    terms = pentagonal_terms(N + 1) + [(N + 1, 0)]
     for (g, d), (end, _) in zip(terms, terms[1:]):
-        (add if d == -1 else sub).append(g)
-        for n in range(g, end):
-            acc = x[n]
-            for h in add:
-                acc += x[n - h]
-            for h in sub:
-                acc -= x[n - h]
-            x[n] = acc
+        if g:
+            (plus if d == -1 else minus).append(-g)
+        get_add, get_sub = _reader(plus), _reader(minus)
+        for v in islice(ks, end - g):
+            x.append(v + sum(get_add(x)) - sum(get_sub(x)))
     return x
 
 
@@ -78,8 +86,11 @@ def spt_table(N: int) -> list[int]:
     """spt(0..N) by Andrews' identity: P(q) times
     sum sigma(n) q^n + sum_{n>=1} (-1)^n q^(n(3n+1)/2) (1+q^n)/(1-q^n)^2."""
     k = [0] * (N + 1)
-    for d in range(1, N + 1):  # sigma(e) = sum of the divisors d of e
-        k[d::d] = [v + d for v in k[d::d]]
+    # sigma(e) = sum of the divisors of e, in the pairs d + e/d with d <= e/d and
+    # d counted once at e = d^2
+    for d in range(1, math.isqrt(N) + 1):
+        k[d * d::d] = map(add, k[d * d::d], range(2 * d, d + N // d + 1))
+        k[d * d] -= d
     # (1+x)/(1-x)^2 = sum_j (2j+1) x^j
     n = 1
     while (start := n * (3 * n + 1) // 2) <= N:
@@ -189,48 +200,61 @@ def t_signed(parts: Sequence[int]) -> int:
 def ts_sum_bruteforce(N: int) -> list[int]:
     """[the sum of t_signed over the partitions of n, for n in 0..N].
 
-    One walk visits each ascending prefix nu with |nu| + max(nu) <= N once:
-    every nonempty partition is such a prefix followed by its largest part
-    y >= max(nu). Parts come in ascending order, so once a prefix skips a size
-    its run stays broken and every partition it starts has its weight w. A
-    prefix whose sizes are exactly 1..L gives w to every y but y = L and
-    y = L + 1, which add one more term to the run. So w goes to every size
-    from |nu| + max(nu) on through one suffix-sum entry, and the two
-    exceptions add their extra term at their own size."""
+    Every nonempty partition is an ascending prefix nu with |nu| + max(nu) <= N
+    followed by its largest part y >= max(nu). Parts come in ascending order, so
+    once a prefix skips a size its run stays broken and every partition it starts
+    has its weight w. A prefix whose sizes are exactly 1..L gives w to every y but
+    y = L and y = L + 1, which add one more term to the run. So w goes to every
+    size from |nu| + max(nu) on through one suffix-sum entry, and the two
+    exceptions add their extra term at their own size.
+
+    A broken prefix acts on later sizes only through its sum and largest part,
+    and linearly in w; a run prefix through its sum and L, plus one count per
+    prefix for its extra terms. So the prefixes are merged by state, their
+    weights summed, and the states are visited in increasing order of sum."""
     enumeration_guard("partition", N)
     # shared[n]: weight given to every size from n on; extra[n]: to size n alone
     shared = [0] * (N + 2)
     extra = [0] * (N + 2)
-
-    def broken(s: int, m: int, w: int) -> None:  # nu: sum s, largest part m, weight w
-        shared[s + m] += w
-        top = (N - s) // 2
-        leaves = max(m, (N - s) // 3 + 1)  # nu + [x] has no extension from x = leaves on
-        for x in range(m, leaves):
-            broken(s + x, x, w)
-        for x in range(leaves, top + 1):
-            shared[s + 2 * x] += w
-
-    def run(s: int, L: int, w: int) -> None:  # nu: sum s, the sizes 1..L exactly, weight w
-        t, t1 = (L, -L - 1) if L & 1 else (-L, L + 1)  # the terms of y = L and y = L + 1
-        shared[s + L] += w
-        extra[s + L] += t
-        extra[s + L + 1] += t1
-        top = (N - s) // 2
-        if L <= top:
-            run(s + L, L, w + t)
-            if L < top:
-                run(s + L + 1, L + 1, w + t1)
-        for x in range(L + 2, top + 1):
-            broken(s + x, x, w)
-
-    # the empty prefix: the partition 1 weighs 1, and any other y weighs 0
+    # by sum s: broken[s][m], the weight of the broken prefixes with largest part m;
+    # run_w[s][L] and run_c[s][L], the weight and count of the prefixes with sizes 1..L.
+    # A prefix of sum s has largest part at most N - s, or it has no partition to start
+    broken = [[0] * (N + 1 - s) for s in range(N + 1)]
+    run_w = [[0] * (N + 1 - s) for s in range(N + 1)]
+    run_c = [[0] * (N + 1 - s) for s in range(N + 1)]
+    # the empty prefix: the partition 1 weighs 1, and any other y weighs 0; the
+    # prefixes [x] with x > 1 have no part 1, so weight 0, and are left out
     if N >= 1:
         extra[1] = 1
     if N >= 2:
-        run(1, 1, 1)
-    for x in range(2, N // 2 + 1):  # the prefixes [x]: no part 1, so weight 0
-        broken(x, x, 0)
+        run_w[1][1] = run_c[1][1] = 1
+    for s in range(1, N + 1):
+        top = (N - s) // 2  # nu + [x] starts a partition for x <= top
+        for L, c in enumerate(run_c[s]):
+            if not c:
+                continue
+            w = run_w[s][L]
+            t, t1 = (L, -L - 1) if L & 1 else (-L, L + 1)  # the terms of y = L and y = L + 1
+            shared[s + L] += w
+            extra[s + L] += c * t
+            extra[s + L + 1] += c * t1
+            if L <= top:
+                run_w[s + L][L] += w + c * t
+                run_c[s + L][L] += c
+                if L < top:
+                    run_w[s + L + 1][L + 1] += w + c * t1
+                    run_c[s + L + 1][L + 1] += c
+            for x in range(L + 2, top + 1):
+                broken[s + x][x] += w
+        leaves = (N - s) // 3 + 1  # nu + [x] has no extension from x = leaves on
+        for m, w in enumerate(broken[s]):
+            if not w:
+                continue
+            shared[s + m] += w
+            for x in range(m, leaves):
+                broken[s + x][x] += w
+            for x in range(max(m, leaves), top + 1):
+                shared[s + 2 * x] += w
     return [acc + e for acc, e in zip(accumulate(shared[:N + 1]), extra)]
 
 
@@ -290,8 +314,14 @@ class StatTables(NamedTuple):
 
 _TABLES: StatTables | None = None
 # The deepest row stat_tables builds: it admits congruences --ell 5 --m 3, the deepest
-# request measured, which reads row 124,349 (19-24 s and 85 MiB on a 2-vCPU VM).
+# request measured, which reads row 124,349 (18-20 s and 84 MiB on a 2-vCPU VM).
 MAX_TABLE_ROW = 125_000
+
+
+def require_table_row(n: int) -> None:
+    """Raise QsptError if row n is past MAX_TABLE_ROW."""
+    if n > MAX_TABLE_ROW:
+        raise QsptError(f"tables capped at row {MAX_TABLE_ROW:,}, {n:,} requested")
 
 
 def stat_tables(n: int) -> StatTables:
@@ -299,8 +329,7 @@ def stat_tables(n: int) -> StatTables:
     each reader asks for the largest index it reads, so no caller sizes tables.
     A row past MAX_TABLE_ROW raises QsptError before anything is built."""
     global _TABLES
-    if n > MAX_TABLE_ROW:
-        raise QsptError(f"tables capped at row {MAX_TABLE_ROW:,}, {n:,} requested")
+    require_table_row(n)
     if _TABLES is None or _TABLES.limit < n:
         _TABLES = StatTables.build(n)
     return _TABLES
@@ -382,10 +411,10 @@ def c_formula(n: int, tables: StatTables) -> Fraction:
     """c(n) = (s(n) + sum_k (-1)^k (12/5) M_5[24n-(6k+1)^2])/n over the k with (6k+1)^2 < 24n.
     As 24n-(6k+1)^2 = 24(n-g)-1 with g = k(3k+1)/2, the sum runs over the terms (-1)^k q^g
     of (q;q)_inf with g < n, and M_5 is read through mell_weight."""
-    total = Fraction(s_fn(n))
+    total = 5 * s_fn(n)
     for g, sign in pentagonal_terms(n):
-        total += sign * Fraction(mell_weight(tables, 5, n - g), 5)
-    return total / n
+        total += sign * mell_weight(tables, 5, n - g)
+    return Fraction(total, 5 * n)
 
 
 def tables_via_ustar(tables: StatTables) -> StatTables:

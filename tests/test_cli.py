@@ -402,6 +402,7 @@ def test_every_unread_option_is_named(capsys):
     (("verify", "cor1_4", "--ell", "5", "--m", "4"), 3_108_724),
     (("verify", "thm1_2", "--max-n", "5001"), 125_024),
     (("table", "--name", "spt", "--max-n", "200000"), 200_000),
+    (("table", "--name", "s", "--max-n", "200000"), 200_000),
     (("table", "--name", "c_formula", "--max-n", "5001"), 125_024),
     (("series", "--name", "mplus", "--prec", "3000048"), 125_002),
     (("series", "--name", "spt_gen24", "--prec", "3000048"), 125_002),

@@ -55,6 +55,31 @@ def test_over_euler_is_p_times_the_kernel(case):
     assert pt._over_euler(N, dense) == convolve(_p_by_parts(N), dense, N + 1)
 
 
+def _spt_kernel_by_definition(N):
+    """sum sigma(n) q^n + sum_{n>=1} (-1)^n q^(n(3n+1)/2) (1+q^n)/(1-q^n)^2 below q^(N+1),
+    sigma by trial division and (1+x)/(1-x)^2 as sum_j (2j+1) x^j."""
+    k = [0] + [sum(d for d in range(1, e + 1) if e % d == 0) for e in range(1, N + 1)]
+    for n in range(1, N + 1):
+        for j in range(N + 1):
+            e = n * (3 * n + 1) // 2 + n * j
+            if e <= N:
+                k[e] += (-1) ** n * (2 * j + 1)
+    return k
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 4, 5, 6, 7, 11, 12, 14, 15, 21, 22,
+                               551, 610, 651, 715])
+def test_over_euler_where_its_offset_lists_change_shape(N):
+    # around the pentagonal numbers 1, 2, 5, 7, 12, 15, 22 a term joins the added or
+    # the subtracted offsets, which each stretch of rows reads with one getter; from
+    # 551 to 650 and from 610 to 714 a list holds the 20 offsets read without one
+    p = _p_by_parts(N)
+    for table, kernel in ((pt.p_table, [1]), (pt.a_table, pt._a_kernel(N)),
+                          (pt.spt_table, _spt_kernel_by_definition(N))):
+        assert pt._over_euler(N, kernel) == convolve(p, kernel, N + 1)
+        assert table(N) == convolve(p, kernel, N + 1)
+
+
 @given(sparse_kernels(), st.booleans())
 def test_sparse_division_equals_series_division(case, jacobi):
     # (q;q)_inf from its pentagonal terms, or (q;q)_inf^3 from Jacobi's raised to
@@ -180,7 +205,7 @@ def test_t_signed_matches_multiplicity_definition(parts, rng):
 
 
 def test_ts_sum_matches_a_table():
-    assert pt.ts_sum_bruteforce(45) == pt.a_table(45)
+    assert pt.ts_sum_bruteforce(60) == pt.a_table(60)
 
 
 def _ts_sum_by_lists(n):
