@@ -2,8 +2,8 @@
 coefficient formulas for the j-function.
 
 Scalable computations go through exact integer tables; every combinatorially
-defined quantity also has a brute-force enumeration oracle with an explicit
-size guard.
+defined quantity also has an oracle computed from its definition, with an
+explicit size guard.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate, chain, islice, repeat
+from itertools import chain, islice, repeat
 from operator import add, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -141,7 +141,7 @@ def p_and_a_tables(N: int) -> tuple[list[int], list[int]]:
 
 
 # ----------------------------------------------------------------------
-# brute-force oracles
+# guarded oracles
 
 def enumeration_guard(kind: str, n: int) -> None:
     """Raise EnumerationLimit if n is past the guard of a 'spt', 'partition' or 'unimodal' walk."""
@@ -200,62 +200,27 @@ def t_signed(parts: Sequence[int]) -> int:
 def ts_sum_bruteforce(N: int) -> list[int]:
     """[the sum of t_signed over the partitions of n, for n in 0..N].
 
-    Every nonempty partition is an ascending prefix nu with |nu| + max(nu) <= N
-    followed by its largest part y >= max(nu). Parts come in ascending order, so
-    once a prefix skips a size its run stays broken and every partition it starts
-    has its weight w. A prefix whose sizes are exactly 1..L gives w to every y but
-    y = L and y = L + 1, which add one more term to the run. So w goes to every
-    size from |nu| + max(nu) on through one suffix-sum entry, and the two
-    exceptions add their extra term at their own size.
-
-    A broken prefix acts on later sizes only through its sum and largest part,
-    and linearly in w; a run prefix through its sum and L, plus one count per
-    prefix for its extra terms. So the prefixes are merged by state, their
-    weights summed, and the states are visited in increasing order of sum."""
+    A recurrence over part sizes k = 1..N that builds each partition from its
+    multiplicities m_k. While its sizes so far are exactly 1..k-1 (a run), any
+    m_k >= 1 adds (-1)^(k-1) * k * m_k to its weight and keeps the run going;
+    m_k = 0 ends the run, and the weight is frozen whatever larger parts follow.
+    By sum: count and weight of the partitions in a run, ended the weight of
+    the rest."""
     enumeration_guard("partition", N)
-    # shared[n]: weight given to every size from n on; extra[n]: to size n alone
-    shared = [0] * (N + 2)
-    extra = [0] * (N + 2)
-    # by sum s: broken[s][m], the weight of the broken prefixes with largest part m;
-    # run_w[s][L] and run_c[s][L], the weight and count of the prefixes with sizes 1..L.
-    # A prefix of sum s has largest part at most N - s, or it has no partition to start
-    broken = [[0] * (N + 1 - s) for s in range(N + 1)]
-    run_w = [[0] * (N + 1 - s) for s in range(N + 1)]
-    run_c = [[0] * (N + 1 - s) for s in range(N + 1)]
-    # the empty prefix: the partition 1 weighs 1, and any other y weighs 0; the
-    # prefixes [x] with x > 1 have no part 1, so weight 0, and are left out
-    if N >= 1:
-        extra[1] = 1
-    if N >= 2:
-        run_w[1][1] = run_c[1][1] = 1
-    for s in range(1, N + 1):
-        top = (N - s) // 2  # nu + [x] starts a partition for x <= top
-        for L, c in enumerate(run_c[s]):
-            if not c:
-                continue
-            w = run_w[s][L]
-            t, t1 = (L, -L - 1) if L & 1 else (-L, L + 1)  # the terms of y = L and y = L + 1
-            shared[s + L] += w
-            extra[s + L] += c * t
-            extra[s + L + 1] += c * t1
-            if L <= top:
-                run_w[s + L][L] += w + c * t
-                run_c[s + L][L] += c
-                if L < top:
-                    run_w[s + L + 1][L + 1] += w + c * t1
-                    run_c[s + L + 1][L + 1] += c
-            for x in range(L + 2, top + 1):
-                broken[s + x][x] += w
-        leaves = (N - s) // 3 + 1  # nu + [x] has no extension from x = leaves on
-        for m, w in enumerate(broken[s]):
-            if not w:
-                continue
-            shared[s + m] += w
-            for x in range(m, leaves):
-                broken[s + x][x] += w
-            for x in range(max(m, leaves), top + 1):
-                shared[s + 2 * x] += w
-    return [acc + e for acc, e in zip(accumulate(shared[:N + 1]), extra)]
+    count = [1] + [0] * N
+    weight = [0] * (N + 1)
+    ended = [0] * (N + 1)
+    for k in range(1, N + 1):
+        for s in range(k, N + 1):  # the ended partitions take any number of parts k
+            ended[s] += ended[s - k]
+        ended = list(map(add, ended, weight))  # the runs that skip k, after the pass
+        t = k if k & 1 else -k
+        c, w = [0] * (N + 1), [0] * (N + 1)
+        for s in range(k, N + 1):  # one more part k on a run at s - k with m_k >= 0
+            c[s] = count[s - k] + c[s - k]
+            w[s] = weight[s - k] + w[s - k] + t * c[s]
+        count, weight = c, w
+    return list(map(add, ended, weight))
 
 
 def _distinct_parts(limit: int, maxpart: int) -> Iterator[list[int]]:
@@ -401,10 +366,14 @@ def mell_weight(tables: StatTables, ell: int, k: int) -> int:
     return sum(f * mplus_weight(tables, row) for f, row in terms)
 
 
+def c_formula_rows(max_n: int) -> int:
+    """The deepest table row c_formula(n <= max_n) reads: the first row of mell_terms(5, max_n)."""
+    return mell_terms(5, max_n)[0][1]
+
+
 def c_formula_tables(max_n: int) -> StatTables:
-    """The process tables through the deepest row c_formula(n <= max_n) reads: the first
-    row of mell_terms(5, max_n)."""
-    return stat_tables(mell_terms(5, max_n)[0][1])
+    """The process tables through the deepest row c_formula(n <= max_n) reads."""
+    return stat_tables(c_formula_rows(max_n))
 
 
 def c_formula(n: int, tables: StatTables) -> Fraction:
@@ -417,17 +386,19 @@ def c_formula(n: int, tables: StatTables) -> Fraction:
     return Fraction(total, 5 * n)
 
 
-def tables_via_ustar(tables: StatTables) -> StatTables:
-    """The tables with their spt column rebuilt as 2a - u*, which the Corollary 1.5
-    checks read in place of spt."""
-    return tables._replace(spt=tuple(2 * a - u for a, u in zip(tables.a, tables.ustar)))
+def tables_via_ustar(tables: StatTables, n: int) -> StatTables:
+    """Rows 0..n of the tables with their spt column rebuilt as 2a - u*, which the
+    Corollary 1.5 checks read in place of spt; raises TableTooSmall short of row n."""
+    tables.require(n)
+    p, a, ustar = tables.p[:n + 1], tables.a[:n + 1], tables.ustar[:n + 1]
+    return StatTables(n, p, tuple(2 * x - u for x, u in zip(a, ustar)), a, ustar)
 
 
 def c1_c2_decompositions(tables: StatTables) -> list[str]:
     """Itemized reconstruction of the displayed c(1) and c(2) splittings,
     first through spt, then through 2a - u* with its spt terms parenthesized."""
-    tables.require(49)
-    return _c1_c2_lines(tables, "{}") + _c1_c2_lines(tables_via_ustar(tables), "({})")
+    via_ustar = tables_via_ustar(tables, c_formula_rows(2))  # first: it requires the rows
+    return _c1_c2_lines(tables, "{}") + _c1_c2_lines(via_ustar, "({})")
 
 
 def _c1_c2_lines(tables: StatTables, fmt: str) -> list[str]:

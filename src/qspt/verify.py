@@ -22,7 +22,8 @@ def verify_thm1_2(max_n: int) -> VerificationReport:
 
 
 def verify_thm1_3(max_n: int) -> VerificationReport:
-    """Signed-triangular-weight enumeration against the A(q) series coefficients."""
+    """The signed triangular weight summed over the partitions of n, computed from
+    its definition with a size guard, against the A(q) series coefficients."""
     partitions.enumeration_guard("partition", max_n)
     rep = VerificationReport(check="thm1_3", parameters={"max_n": max_n},
                              window=(1, max_n + 1))
@@ -52,7 +53,7 @@ def verify_cor1_5(max_n: int) -> VerificationReport:
                              window=(1, max_n + 1))
     tables = partitions.c_formula_tables(max(max_n, 2))  # the c(2) splitting reads c(2)'s rows
     j = forms.j_series(max_n + 1)
-    via_ustar = partitions.tables_via_ustar(tables)
+    via_ustar = partitions.tables_via_ustar(tables, partitions.c_formula_rows(max_n))
     for n in range(1, max_n + 1):
         cg = partitions.c_formula(n, via_ustar)
         rep.record(n, cg, j.coeff(n))

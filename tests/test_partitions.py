@@ -108,8 +108,11 @@ def test_stat_tables_are_immutable_values():
     for attr in ("spt", "other"):
         with pytest.raises(AttributeError):
             setattr(t, attr, ())
-    rebuilt = pt.tables_via_ustar(t)
+    rebuilt = pt.tables_via_ustar(t, t.limit)
     assert type(rebuilt) is pt.StatTables and rebuilt == t
+    assert pt.tables_via_ustar(t, 2) == pt.StatTables.build(2)
+    with pytest.raises(TableTooSmall):
+        pt.tables_via_ustar(t, 4)
 
 
 def test_spt_bruteforce_matches_table():
@@ -205,17 +208,20 @@ def test_t_signed_matches_multiplicity_definition(parts, rng):
 
 
 def test_ts_sum_matches_a_table():
-    assert pt.ts_sum_bruteforce(60) == pt.a_table(60)
+    # every N up to the guard as the top of the recurrence
+    a = pt.a_table(60)
+    for N in range(61):
+        assert pt.ts_sum_bruteforce(N) == a[:N + 1]
 
 
 def _ts_sum_by_lists(n):
     """The signed triangular weight summed over the part lists of n: the
-    reference for the walk in ts_sum_bruteforce."""
+    reference for the recurrence in ts_sum_bruteforce."""
     return sum(map(pt.t_signed, pt.iter_partitions(n)))
 
 
 def test_ts_sum_matches_part_list_sum():
-    # every N <= 30 as the top of the walk, each against the sums by part lists
+    # every N <= 30 as the top of the recurrence, each against the sums by part lists
     sums = [_ts_sum_by_lists(n) for n in range(31)]
     for N in range(31):
         assert pt.ts_sum_bruteforce(N) == sums[:N + 1]
@@ -330,7 +336,7 @@ def test_h_weights(tables):
 
 def test_g_matches_h(tables):
     # the Corollary 1.5 weights: mell_weight on the column 2a - u*
-    via_ustar = pt.tables_via_ustar(tables)
+    via_ustar = pt.tables_via_ustar(tables, tables.limit)
     assert via_ustar.spt == tables.spt
     assert {k: pt.mell_weight(via_ustar, 5, k) for k in _M5_WEIGHTS} == _M5_WEIGHTS
 
@@ -353,7 +359,7 @@ def test_c_formula_first_coefficients(tables):
     assert pt.c_formula(1, tables) == 196884
     assert pt.c_formula(2, tables) == 21493760
     assert pt.c_formula(3, tables) == 864299970
-    via_ustar = pt.tables_via_ustar(tables)
+    via_ustar = pt.tables_via_ustar(tables, tables.limit)
     for n in range(1, 11):
         assert pt.c_formula(n, via_ustar) == pt.c_formula(n, tables)
 
