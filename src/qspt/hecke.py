@@ -75,8 +75,6 @@ def hecke_t(f: LaurentSeries, ctx: HeckeContext) -> LaurentSeries:
     lo -= (lo + 1) % 24  # round down onto the 23 mod 24 progression
     out = {}
     for n in range(lo, prec, 24):
-        if ell2 * n >= f.precision and n >= 0:
-            break
         val = a(ell2 * n) + eps * legendre(-n, ell) * a(n)
         if n % ell2 == 0:
             val += ell * a(n // ell2)

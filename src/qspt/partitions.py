@@ -424,32 +424,36 @@ def _c1_c2_lines(tables: StatTables, fmt: str) -> list[str]:
 
 def spt_family_instances(ell: int, m: int, max_n: int, sign: str) -> list[tuple[int, int]]:
     """(n, index) pairs with an integral index (ell^2m * n -+ 1)/24 and (-n|ell) = 1,
-    for a prime ell >= 5 that the caller has checked (check_congruences does, once)."""
+    for a prime ell >= 5 that the caller has checked (check_congruences does, once).
+    As ell^2m = 1 mod 24, the integral indices are those of n = -+1 mod 24."""
     power = ell ** (2 * m)
-    out = []
-    for n in range(1, max_n + 1):
-        if euler_criterion(-n, ell) != 1:
-            continue
-        num = power * n + (1 if sign == "plus" else -1)
-        if num % 24 == 0:
-            out.append((n, num // 24))
-    return out
+    shift, first = (1, 23) if sign == "plus" else (-1, 1)
+    return [(n, (power * n + shift) // 24) for n in range(first, max_n + 1, 24)
+            if euler_criterion(-n, ell) == 1]
 
 
 _ANDREWS = ((5, 4), (7, 5), (13, 6))  # (mod, res): spt(mod n + res) = 0 mod mod
+_FAMILIES = {"andrews": ("andrews",), "eq5": ("eq5",), "eq6": ("eq6",),
+             "cor1_4": ("cor1_4",), "all": ("andrews", "eq5", "cor1_4")}
+
+
+def _family_reads(family: str, max_n: int, ell: int, m: int,
+                  sign: str) -> list[tuple[int, Sequence[int]]]:
+    """The rows a congruence family reads, for its table size and its check alike, as
+    (modulus, indices) per group: Andrews' three progressions; for eq5 and eq6 the
+    given sign convention, then the other; for cor1_4 the given convention only."""
+    if family == "andrews":
+        return [(mod, range(res, mod * max_n + res + 1, mod)) for mod, res in _ANDREWS]
+    mm = 1 if family == "eq5" else m
+    signs = (sign,) if family == "cor1_4" else (sign, "minus" if sign == "plus" else "plus")
+    return [(ell ** mm, [idx for _, idx in spt_family_instances(ell, mm, max_n, s)])
+            for s in signs]
 
 
 def _congruence_rows(family: str, max_n: int, ell: int, m: int, sign: str) -> int:
     """The deepest table row a congruence family reads; for 'all', the deepest of its three."""
-    if family == "andrews":
-        return max(mod * max_n + res for mod, res in _ANDREWS)
-    if family == "all":
-        return max(_congruence_rows(sub, max_n, ell, m, sign)
-                   for sub in ("andrews", "eq5", "cor1_4"))
-    mm = 1 if family == "eq5" else m
-    signs = (sign,) if family == "cor1_4" else ("plus", "minus")
-    return max((idx for s in signs for _, idx in spt_family_instances(ell, mm, max_n, s)),
-               default=0)
+    return max((idx[-1] for f in _FAMILIES[family]
+                for _, idx in _family_reads(f, max_n, ell, m, sign) if idx), default=0)
 
 
 def _require_family_rows(ell: int, m: int) -> None:
@@ -472,7 +476,7 @@ def check_congruences(family: str, max_n: int, ell: int = 5, m: int = 1,
     family), 'eq6' (mod ell^m), 'cor1_4' (u* = 2a mod ell^m at the same
     indices), 'all' (every family at its defaults). The tables are sized
     before any family runs, so a request past their cap builds nothing."""
-    if family not in ("andrews", "eq5", "eq6", "cor1_4", "all"):
+    if family not in _FAMILIES:
         raise UnknownCheck(f"unknown congruence family {family!r}")
     if family != "andrews":
         if ell >= 5:  # a smaller ell is refused at once, before ell^2m is formed
@@ -483,31 +487,28 @@ def check_congruences(family: str, max_n: int, ell: int = 5, m: int = 1,
                                          "sign_convention": sign},
                              window=(1, max_n + 1))
     tables = stat_tables(_congruence_rows(family, max_n, ell, m, sign))
-    if family == "andrews":
-        for mod, res in _ANDREWS:
-            for idx in range(res, mod * max_n + res + 1, mod):
+    for fam in _FAMILIES[family]:
+        before, lines = len(rep.mismatches), []
+        reads = _family_reads(fam, max_n, ell, m, sign)
+        if fam == "andrews":
+            for mod, indices in reads:
+                for idx in indices:
+                    rep.record(idx, tables.spt[idx] % mod, 0)
+                lines.append(f"spt({mod}n+{indices.start}) = 0 mod {mod}: n <= {max_n}")
+        elif fam == "cor1_4":
+            [(mod, indices)] = reads
+            for idx in indices:
+                rep.record(idx, (tables.ustar[idx] - 2 * tables.a[idx]) % mod, 0)
+        else:
+            [(mod, indices), (_, other)] = reads
+            for idx in indices:
                 rep.record(idx, tables.spt[idx] % mod, 0)
-            rep.details.append(f"spt({mod}n+{res}) = 0 mod {mod}: n <= {max_n}")
-    elif family in ("eq5", "eq6"):
-        mm = 1 if family == "eq5" else m
-        modulus = ell ** mm
-        inst = spt_family_instances(ell, mm, max_n, sign)
-        other = spt_family_instances(ell, mm, max_n, "minus" if sign == "plus" else "plus")
-        for n, idx in inst:
-            rep.record(idx, tables.spt[idx] % modulus, 0)
-        rep.details.append(f"convention '{sign}': {len(inst)} integral indices, "
-                           f"{len(rep.mismatches)} failures")
-        bad = sum(1 for _, idx in other if tables.spt[idx] % modulus)
-        rep.details.append(f"other convention: {len(other)} integral indices, "
-                           f"{bad} failures")
-    elif family == "cor1_4":
-        modulus = ell ** m
-        for n, idx in spt_family_instances(ell, m, max_n, sign):
-            rep.record(idx, (tables.ustar[idx] - 2 * tables.a[idx]) % modulus, 0)
-    else:
-        for sub in ("andrews", "eq5", "cor1_4"):
-            r = check_congruences(sub, max_n, ell=ell, m=m, sign=sign)
-            rep.mismatches.extend(r.mismatches)
-            rep.compared += r.compared
-            rep.details.extend(f"{sub}: {d}" for d in r.details or [r.status])
+            bad = sum(1 for idx in other if tables.spt[idx] % mod)
+            lines = [f"convention '{sign}': {len(indices)} integral indices, "
+                     f"{len(rep.mismatches) - before} failures",
+                     f"other convention: {len(other)} integral indices, {bad} failures"]
+        if family == "all":  # each line names its family; cor1_4, with no lines, its status
+            status = "pass" if len(rep.mismatches) == before else "fail"
+            lines = [f"{fam}: {line}" for line in lines or [status]]
+        rep.details += lines
     return rep

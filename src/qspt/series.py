@@ -312,8 +312,6 @@ class LaurentSeries:
         if not f.nums or not g.nums:
             return LaurentSeries.zero(prec, s, (f.offset + g.offset) % s)
         n = _pp_count(val, prec, s)
-        if n <= 0:
-            return LaurentSeries.zero(prec, s, val % s)
         return LaurentSeries._of(s, val % s, val, prec, convolve(f.nums, g.nums, n),
                                  f.den * g.den)
 

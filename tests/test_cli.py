@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import qspt
 from qspt import arith, cli, forms, partitions
+from qspt.errors import UnknownCheck
 from qspt.partitions import StatTables
 from qspt.series import LaurentSeries
 
@@ -344,6 +346,24 @@ def test_table_csv_and_json(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["table", "--name", "nope", "--max-n", "3"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("name", cli._TABLES)
+def test_table_prints_each_row_of_its_source(capsys, name):
+    code, out, _ = run(capsys, "table", "--name", name, "--max-n", "30")
+    assert code == 0
+    if name == "s":
+        source = partitions.s_fn
+    elif name == "c_formula":
+        source = partial(partitions.c_formula, tables=partitions.c_formula_tables(30))
+    else:
+        source = getattr(partitions.stat_tables(30), name).__getitem__
+    assert out.splitlines() == ["n,value"] + [f"{n},{source(n)}" for n in range(1, 31)]
+
+
+def test_run_check_refuses_an_unknown_check():
+    with pytest.raises(UnknownCheck, match="unknown check 'nope'"):
+        cli.run_check("nope")
 
 
 def test_verify_summary_gives_the_compared_count(capsys):

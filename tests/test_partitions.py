@@ -1,7 +1,9 @@
 """Partition statistics, enumeration oracles, and the coefficient formulas."""
 
+import hashlib
+import json
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, product
 from operator import add
 
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from qspt import arith, forms
 from qspt import partitions as pt
-from qspt.errors import EnumerationLimit, QsptError, TableTooSmall
+from qspt.errors import EnumerationLimit, QsptError, TableTooSmall, UnknownCheck
 from qspt.series import LaurentSeries, convolve
 
 
@@ -386,7 +388,13 @@ def test_congruence_families_test_the_prime_once(monkeypatch):
     monkeypatch.setattr(arith, "is_prime", lambda n, real=arith.is_prime: calls.append(n) or real(n))
     assert pt.check_congruences("cor1_4", 200, ell=5).passed
     assert pt.check_congruences("eq5", 200, ell=7).passed
-    assert calls == [5, 7]
+    assert pt.check_congruences("all", 200, ell=7).passed  # once for its three families
+    assert calls == [5, 7, 7]
+
+
+def test_an_unknown_congruence_family_is_refused():
+    with pytest.raises(UnknownCheck, match="unknown congruence family 'eq7'"):
+        pt.check_congruences("eq7", 1)
 
 
 def test_congruence_families_refuse_a_smallest_index_past_the_cap(monkeypatch):
@@ -432,6 +440,29 @@ def test_all_families_count_what_their_families_compared():
     subs = [pt.check_congruences(f, max_n=200) for f in ("andrews", "eq5", "cor1_4")]
     assert [r.compared for r in subs] == [3 * 201, 3, 3]
     assert pt.check_congruences("all", max_n=200).compared == 609
+
+
+def test_all_families_count_their_own_failures(perturbed):
+    perturbed("spt", 4)  # spt(5*0 + 4) breaks Andrews' mod 5 congruence, and no other family's
+    rep = pt.check_congruences("all", max_n=40)
+    assert [m.exponent for m in rep.mismatches] == [4]
+    assert rep.details[3:] == ["eq5: convention 'plus': 0 integral indices, 0 failures",
+                               "eq5: other convention: 1 integral indices, 1 failures",
+                               "cor1_4: pass"]
+
+
+def test_congruence_reports_keep_their_digest():
+    # 240 reports, each dumped with sorted keys and a newline, under one sha256;
+    # the deepest table they read has 20,008 rows (ell = 7, m = 2, n = 200)
+    digest = hashlib.sha256()
+    for family, (ell, m), sign, max_n in product(
+            ("andrews", "eq5", "eq6", "cor1_4", "all"),
+            ((5, 1), (7, 1), (11, 1), (13, 1), (5, 2), (7, 2)),
+            ("plus", "minus"), (1, 23, 39, 200)):
+        rep = pt.check_congruences(family, max_n, ell=ell, m=m, sign=sign)
+        digest.update((json.dumps(rep.to_dict(), sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == (
+        "d1f87a73a534beb2278e9b426c3722f1598d8b4ab8bf92db697dbbae5ee1def1")
 
 
 def test_stat_tables_cap_admits_the_deepest_documented_request(monkeypatch):
