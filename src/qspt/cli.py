@@ -12,6 +12,7 @@ import os
 import sys
 import tempfile
 import time
+from functools import partial
 from itertools import islice
 
 from . import __version__, forms, hecke, partitions, verify
@@ -142,13 +143,13 @@ def cmd_table(args) -> int:
     name, max_n = args.name, args.max_n
     partitions.require_table_row(max_n)  # s reads no table, but its rows are capped too
     if name == "s":
-        values = [(n, partitions.s_fn(n)) for n in range(1, max_n + 1)]
+        value = partitions.s_fn
     elif name == "c_formula":
-        t = partitions.c_formula_tables(max_n)
-        values = [(n, partitions.c_formula(n, t)) for n in range(1, max_n + 1)]
+        value = partial(partitions.c_formula, tables=partitions.c_formula_tables(max_n))
     else:
-        col = getattr(partitions.stat_tables(max_n), name)
-        values = [(n, col[n]) for n in range(1, max_n + 1)]
+        t = partitions.stat_tables(max_n)
+        value = t.ustar if name == "ustar" else getattr(t, name).__getitem__
+    values = [(n, value(n)) for n in range(1, max_n + 1)]
     if args.format == "json":
         doc = json.dumps([{"n": n, "value": str(v)} for n, v in values])
     else:

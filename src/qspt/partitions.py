@@ -257,24 +257,26 @@ def ustar_bruteforce(N: int) -> list[int]:
 # tables
 
 class StatTables(NamedTuple):
-    """Immutable exact tables of p, spt, a and u* up to a build limit."""
+    """Immutable exact tables of p, spt and a up to a build limit; u* is read from them."""
 
     limit: int
     p: tuple[int, ...]
     spt: tuple[int, ...]
     a: tuple[int, ...]
-    ustar: tuple[int, ...]
 
     @classmethod
     def build(cls, N: int) -> "StatTables":
         spt = spt_table(N)  # first: its pass then holds no p and a columns
         p, a = p_and_a_tables(N)
-        ustar = [-s + 2 * x for s, x in zip(spt, a)]
-        return cls(N, tuple(p), tuple(spt), tuple(a), tuple(ustar))
+        return cls(N, tuple(p), tuple(spt), tuple(a))
 
     def require(self, n: int) -> None:
         if n > self.limit:
             raise TableTooSmall(f"tables built to {self.limit}, need {n}")
+
+    def ustar(self, n: int) -> int:
+        """u*(n) = -spt(n) + 2a(n), eq (17)."""
+        return 2 * self.a[n] - self.spt[n]
 
 
 _TABLES: StatTables | None = None
@@ -386,22 +388,11 @@ def c_formula(n: int, tables: StatTables) -> Fraction:
     return Fraction(total, 5 * n)
 
 
-def tables_via_ustar(tables: StatTables, n: int) -> StatTables:
-    """Rows 0..n of the tables with their spt column rebuilt as 2a - u*, which the
-    Corollary 1.5 checks read in place of spt; raises TableTooSmall short of row n."""
-    tables.require(n)
-    p, a, ustar = tables.p[:n + 1], tables.a[:n + 1], tables.ustar[:n + 1]
-    return StatTables(n, p, tuple(2 * x - u for x, u in zip(a, ustar)), a, ustar)
-
-
 def c1_c2_decompositions(tables: StatTables) -> list[str]:
-    """Itemized reconstruction of the displayed c(1) and c(2) splittings,
-    first through spt, then through 2a - u* with its spt terms parenthesized."""
-    via_ustar = tables_via_ustar(tables, c_formula_rows(2))  # first: it requires the rows
-    return _c1_c2_lines(tables, "{}") + _c1_c2_lines(via_ustar, "({})")
-
-
-def _c1_c2_lines(tables: StatTables, fmt: str) -> list[str]:
+    """Itemized reconstruction of the displayed c(1) and c(2) splittings, first
+    through spt, then again with the spt terms, which eq (17) writes as 2a - u*,
+    parenthesized; raises TableTooSmall short of c(2)'s rows."""
+    tables.require(c_formula_rows(2))
     # c(1) = s(1) + w(1) and c(2) = (s(2) - w(1) + w(2))/2 with w(k) = mell_weight(tables, 5, k)/5,
     # each w(k) itemized as its mu_k M+ term and the spt and p parts of its top row
     items = []
@@ -411,12 +402,15 @@ def _c1_c2_lines(tables: StatTables, fmt: str) -> list[str]:
         t_spt, t_p = (Fraction(x, 5) for x in mplus_parts(tables, top))
         items.append((t_mu, t_spt, t_p))
     (t_mu, t_spt, t_p), (t_mu2, t_spt2, t_p2) = items
-    f_spt, f_spt2 = fmt.format(t_spt), fmt.format(t_spt2)
-    return [f"c(1) = {s_fn(1)} + {t_mu} + {f_spt} + {t_p}"
-            f" = {s_fn(1) + t_mu + t_spt + t_p}",
-            f"c(2) = (1/2)({s_fn(2)} - {t_mu} + {t_mu2} - {f_spt} - {t_p}"
-            f" + {f_spt2} + {t_p2})"
-            f" = {(s_fn(2) - t_mu + t_mu2 - t_spt - t_p + t_spt2 + t_p2) / 2}"]
+    lines = []
+    for fmt in ("{}", "({})"):
+        f_spt, f_spt2 = fmt.format(t_spt), fmt.format(t_spt2)
+        lines += [f"c(1) = {s_fn(1)} + {t_mu} + {f_spt} + {t_p}"
+                  f" = {s_fn(1) + t_mu + t_spt + t_p}",
+                  f"c(2) = (1/2)({s_fn(2)} - {t_mu} + {t_mu2} - {f_spt} - {t_p}"
+                  f" + {f_spt2} + {t_p2})"
+                  f" = {(s_fn(2) - t_mu + t_mu2 - t_spt - t_p + t_spt2 + t_p2) / 2}"]
+    return lines
 
 
 # ----------------------------------------------------------------------
@@ -498,7 +492,7 @@ def check_congruences(family: str, max_n: int, ell: int = 5, m: int = 1,
         elif fam == "cor1_4":
             [(mod, indices)] = reads
             for idx in indices:
-                rep.record(idx, (tables.ustar[idx] - 2 * tables.a[idx]) % mod, 0)
+                rep.record(idx, (tables.ustar(idx) - 2 * tables.a[idx]) % mod, 0)
         else:
             [(mod, indices), (_, other)] = reads
             for idx in indices:

@@ -10,15 +10,20 @@ from .report import VerificationReport
 from .series import LaurentSeries
 
 
-def verify_thm1_2(max_n: int) -> VerificationReport:
-    """c(n) from the M_5 partition formula against the j-expansion."""
-    rep = VerificationReport(check="thm1_2", parameters={"max_n": max_n},
+def _c_formula_against_j(check: str, max_n: int,
+                         tables: partitions.StatTables) -> VerificationReport:
+    """c(n) from the M_5 partition formula on tables against the j-expansion, n <= max_n."""
+    rep = VerificationReport(check=check, parameters={"max_n": max_n},
                              window=(1, max_n + 1))
-    tables = partitions.c_formula_tables(max_n)
     j = forms.j_series(max_n + 1)
     for n in range(1, max_n + 1):
         rep.record(n, partitions.c_formula(n, tables), j.coeff(n))
     return rep
+
+
+def verify_thm1_2(max_n: int) -> VerificationReport:
+    """c(n) from the M_5 partition formula against the j-expansion."""
+    return _c_formula_against_j("thm1_2", max_n, partitions.c_formula_tables(max_n))
 
 
 def verify_thm1_3(max_n: int) -> VerificationReport:
@@ -42,22 +47,15 @@ def verify_eq17(max_n: int) -> VerificationReport:
     tables = partitions.stat_tables(max_n)
     ustar = partitions.ustar_bruteforce(max_n)
     for n in range(1, max_n + 1):
-        rep.record(n, ustar[n], tables.ustar[n])
+        rep.record(n, ustar[n], tables.ustar(n))
     return rep
 
 
 def verify_cor1_5(max_n: int) -> VerificationReport:
-    """The c(n) formula on the column 2a - u*: equals both the formula on spt and c(n),
-    with the displayed c(1), c(2) decompositions itemized."""
-    rep = VerificationReport(check="cor1_5", parameters={"max_n": max_n},
-                             window=(1, max_n + 1))
+    """The c(n) formula, its spt terms 2a - u* by eq (17), against c(n), with the
+    displayed c(1), c(2) decompositions itemized."""
     tables = partitions.c_formula_tables(max(max_n, 2))  # the c(2) splitting reads c(2)'s rows
-    j = forms.j_series(max_n + 1)
-    via_ustar = partitions.tables_via_ustar(tables, partitions.c_formula_rows(max_n))
-    for n in range(1, max_n + 1):
-        cg = partitions.c_formula(n, via_ustar)
-        rep.record(n, cg, j.coeff(n))
-        rep.record(n, cg, partitions.c_formula(n, tables))
+    rep = _c_formula_against_j("cor1_5", max_n, tables)
     rep.details.extend(partitions.c1_c2_decompositions(tables))
     return rep
 

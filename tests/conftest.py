@@ -31,6 +31,23 @@ def perturbed(tables, monkeypatch):
 
 
 @pytest.fixture
+def perturbed_oracle(monkeypatch):
+    """Make the enumeration oracle partitions.<name>, as every reader calls it,
+    return its true list with 1 added to entry index."""
+
+    def install(name, index):
+        true = getattr(partitions, name)
+
+        def bumped(N):
+            values = true(N)
+            values[index] += 1
+            return values
+        monkeypatch.setattr(partitions, name, bumped)
+
+    return install
+
+
+@pytest.fixture
 def perturbed_j(monkeypatch):
     """Make forms.j_series, as every reader calls it, add 1 to the coefficient
     of q^exponent of j wherever that coefficient is known."""

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: output formats, caching, exit codes."""
 
+import hashlib
 import json
 import os
 import re
@@ -356,9 +357,18 @@ def test_table_prints_each_row_of_its_source(capsys, name):
         source = partitions.s_fn
     elif name == "c_formula":
         source = partial(partitions.c_formula, tables=partitions.c_formula_tables(30))
+    elif name == "ustar":
+        source = partitions.stat_tables(30).ustar
     else:
         source = getattr(partitions.stat_tables(30), name).__getitem__
     assert out.splitlines() == ["n,value"] + [f"{n},{source(n)}" for n in range(1, 31)]
+
+
+def test_table_ustar_keeps_its_digest(capsys):
+    code, out, _ = run(capsys, "table", "--name", "ustar", "--max-n", "2000")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b55dfa8d40d4c89fd4174d24c7a39205fc901d57268f2ce98c83ee90f78229dd")
 
 
 def test_run_check_refuses_an_unknown_check():
@@ -540,16 +550,9 @@ def test_verify_thm1_1_perturbed_j_exit_one(capsys, perturbed_j):
 
 @pytest.mark.parametrize("check, oracle, bumped", [("thm1_3", "ts_sum_bruteforce", 17),
                                                     ("eq17", "ustar_bruteforce", 13)])
-def test_verify_perturbed_oracle_exit_one(capsys, monkeypatch, check, oracle, bumped):
+def test_verify_perturbed_oracle_exit_one(capsys, perturbed_oracle, check, oracle, bumped):
     # the enumeration side fails too: its true list with one entry off by one
-    true = getattr(partitions, oracle)
-
-    def off_by_one(N):
-        values = true(N)
-        values[bumped] += 1
-        return values
-
-    monkeypatch.setattr(partitions, oracle, off_by_one)
+    perturbed_oracle(oracle, bumped)
     code, out, err = run(capsys, "verify", check, "--max-n", "20")
     assert code == 1
     doc = json.loads(out)
@@ -558,21 +561,45 @@ def test_verify_perturbed_oracle_exit_one(capsys, monkeypatch, check, oracle, bu
     assert re.fullmatch(rf"{check}: fail \(1 mismatches of 20 compared, \d+ ms\)\n", err)
 
 
-@pytest.mark.parametrize("check, column, row, exponents, compared", [
-    # u* - 2a at the family's indices 74, 124 and 199 (ell = 5, n <= 200)
-    ("cor1_4", "a", 124, [124], 3),
-    # spt(99) = spt(25*4 - 1) is read by c(n) through spt for n = 4 + g,
-    # g pentagonal; the column 2a - u* and j do not move
-    ("cor1_5", "spt", 99, [4, 5, 6, 9, 11, 16, 19], 40),
-])
-def test_verify_corollaries_perturbed_tables_exit_one(capsys, perturbed, check, column, row,
-                                                      exponents, compared):
-    perturbed(column, row)
-    code, out, err = run(capsys, "verify", check)
+# One fault for each check of cli.CHECKS: (the options it runs with, the fixture
+# that installs the fault and its arguments, the mismatch exponents, the count
+# compared, and the details that end in MISMATCH). Every table fault stays in the
+# 640 rows of the session tables, so no reader rebuilds them.
+FAULTS = {
+    # c(1) + 1 reaches the closed form through q dj/dq at every exponent from 23 on
+    "thm1_1": (("--window", "240"), ("perturbed_j", 1), list(range(23, 240, 24)), 12, []),
+    # spt(3) is the coefficient of q^71 in M+, and 12/7 is not integral
+    "eq9_mod_ell": (("--window", "120"), ("perturbed", "spt", 3, Fraction(1, 7)), [71], 7, []),
+    # spt(24) = spt(25*1 - 1) is read by c(n) for n = 1 + g, g pentagonal
+    "thm1_2": ((), ("perturbed", "spt", 24), [1, 2, 3, 6, 8, 13, 16], 20, []),
+    "thm1_3": (("--max-n", "20"), ("perturbed_oracle", "ts_sum_bruteforce", 17), [17], 20, []),
+    "eq17": (("--max-n", "20"), ("perturbed_oracle", "ustar_bruteforce", 13), [13], 20, []),
+    # u* - 2a = -spt at the family's indices 74, 124 and 199 (ell = 5, n <= 200)
+    "cor1_4": ((), ("perturbed", "spt", 124), [124], 3, []),
+    # spt(99) = spt(25*4 - 1) is read by c(n) for n = 4 + g, g pentagonal
+    "cor1_5": ((), ("perturbed", "spt", 99), [4, 5, 6, 9, 11, 16, 19], 20, []),
+    # spt(5*0 + 4) breaks Andrews' mod 5 congruence, and no other family's
+    "congruences": (("--max-n", "40"), ("perturbed", "spt", 4), [4], 3 * 41, []),
+    # past the 32 coefficients of j that the basis chain reads
+    "internal_identities": ((), ("perturbed_j", 100), list(range(100, 500)), 3426,
+                            ["-q dj/dq = E4^2 E6/Delta: MISMATCH", "j * Delta = E4^3: MISMATCH"]),
+}
+
+
+def test_every_check_has_a_fault():
+    assert FAULTS.keys() == cli.CHECKS.keys()
+
+
+@pytest.mark.parametrize("check", FAULTS)
+def test_a_fault_fails_its_check_at_its_exponents_and_exits_one(capsys, request, check):
+    options, (fixture, *fault), exponents, compared, tags = FAULTS[check]
+    request.getfixturevalue(fixture)(*fault)
+    code, out, err = run(capsys, "verify", check, *options)
     assert code == 1
     doc = json.loads(out)
     assert doc["status"] == "fail"
     assert [m["exponent"] for m in doc["mismatches"]] == exponents
+    assert [d for d in doc.get("details", []) if d.endswith("MISMATCH")] == tags
     assert re.fullmatch(rf"{doc['check']}: fail \({len(exponents)} mismatches of {compared} "
                         rf"compared, \d+ ms\)\n", err)
 

@@ -106,15 +106,11 @@ def test_stat_tables_are_immutable_values():
     assert t == pt.StatTables.build(3) and hash(t) == hash(pt.StatTables.build(3))
     assert t != pt.StatTables.build(4)
     assert repr(t) == ("StatTables(limit=3, p=(1, 1, 2, 3), spt=(0, 1, 3, 5), "
-                       "a=(0, 1, 2, 2), ustar=(0, 1, 1, -1))")
+                       "a=(0, 1, 2, 2))")
+    assert [t.ustar(n) for n in range(4)] == [0, 1, 1, -1]
     for attr in ("spt", "other"):
         with pytest.raises(AttributeError):
             setattr(t, attr, ())
-    rebuilt = pt.tables_via_ustar(t, t.limit)
-    assert type(rebuilt) is pt.StatTables and rebuilt == t
-    assert pt.tables_via_ustar(t, 2) == pt.StatTables.build(2)
-    with pytest.raises(TableTooSmall):
-        pt.tables_via_ustar(t, 4)
 
 
 def test_spt_bruteforce_matches_table():
@@ -235,11 +231,11 @@ def test_ts_sum_enumeration_guard():
 
 
 def test_ustar_values(tables):
-    assert list(tables.ustar[1:7]) == [1, 1, -1, 0, -2, 2]
+    assert [tables.ustar(n) for n in range(1, 7)] == [1, 1, -1, 0, -2, 2]
 
 
 def test_ustar_bruteforce_matches(tables):
-    assert pt.ustar_bruteforce(18) == list(tables.ustar[:19])
+    assert pt.ustar_bruteforce(18) == [tables.ustar(n) for n in range(19)]
 
 
 def _runs(total, maxpart):
@@ -291,7 +287,7 @@ def test_ustar_matches_unimodal_rank_series(tables):
         u[k + 1:] = [x + y for x, y in zip(u[k + 1:], sq)]
         for _ in range(2):  # times (1 - q^(k+1))
             sq[k + 1:] = [x - y for x, y in zip(sq[k + 1:], sq)]
-    assert list(tables.ustar) == u
+    assert [tables.ustar(n) for n in range(N + 1)] == u
 
 
 def test_ustar_enumeration_guard():
@@ -336,13 +332,6 @@ def test_h_weights(tables):
     assert {k: pt.mell_weight(tables, 5, k) for k in _M5_WEIGHTS} == _M5_WEIGHTS
 
 
-def test_g_matches_h(tables):
-    # the Corollary 1.5 weights: mell_weight on the column 2a - u*
-    via_ustar = pt.tables_via_ustar(tables, tables.limit)
-    assert via_ustar.spt == tables.spt
-    assert {k: pt.mell_weight(via_ustar, 5, k) for k in _M5_WEIGHTS} == _M5_WEIGHTS
-
-
 def test_mell_weight_short_table_raises(tables):
     # k = 25 at ell = 5 reads row 624 of the 640; k = 26 reads row 649
     assert pt.mell_weight(tables, 5, 25) % 5 == 0
@@ -361,9 +350,6 @@ def test_c_formula_first_coefficients(tables):
     assert pt.c_formula(1, tables) == 196884
     assert pt.c_formula(2, tables) == 21493760
     assert pt.c_formula(3, tables) == 864299970
-    via_ustar = pt.tables_via_ustar(tables, tables.limit)
-    for n in range(1, 11):
-        assert pt.c_formula(n, via_ustar) == pt.c_formula(n, tables)
 
 
 def test_c1_c2_decompositions(tables):
@@ -373,6 +359,10 @@ def test_c1_c2_decompositions(tables):
     assert lines[1].endswith("= 21493760")
     assert lines[2].endswith("= 196884")
     assert lines[3].endswith("= 21493760")
+    # c(2)'s splitting reads row 25 * 2 - 1 = 49, and a shorter table is refused
+    assert pt.c1_c2_decompositions(pt.StatTables.build(49)) == lines
+    with pytest.raises(TableTooSmall):
+        pt.c1_c2_decompositions(pt.StatTables.build(48))
 
 
 def test_spt_family_instances():
@@ -470,7 +460,7 @@ def test_stat_tables_cap_admits_the_deepest_documented_request(monkeypatch):
 
     def fake_build(cls, n):
         built.append(n)
-        return cls(n, (), (), (), ())
+        return cls(n, (), (), ())
 
     monkeypatch.setattr(pt, "_TABLES", None)
     monkeypatch.setattr(pt.StatTables, "build", classmethod(fake_build))

@@ -1,5 +1,7 @@
 """Verification drivers produce structured reports that pass on honest inputs."""
 
+import hashlib
+import json
 from fractions import Fraction
 from functools import partial
 
@@ -109,6 +111,17 @@ def test_cor1_5():
     assert rep.details[0].endswith("= 196884")
 
 
+def test_eq17_and_cor1_5_reports_keep_their_digest():
+    # 49 reports, each dumped with sorted keys and a newline, under one sha256
+    digest = hashlib.sha256()
+    reports = ([verify.verify_eq17(n) for n in range(1, 41)]
+               + [verify.verify_cor1_5(n) for n in (1, 2, 3, 5, 10, 20, 40, 80, 300)])
+    for rep in reports:
+        digest.update((json.dumps(rep.to_dict(), sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == (
+        "a535ea9fef3bab6fdc2a0553b9843eac65d2ba4d1af94b190792fab76490c9a4")
+
+
 def test_internal_identities_small():
     rep = verify.verify_internal_identities(ncoeffs=60, poly_max=6)
     assert rep.passed
@@ -140,14 +153,16 @@ def test_internal_identities_fail_at_a_perturbed_coefficient_of_j(perturbed_j):
     (partial(verify.verify_thm1_2, max_n=20), "spt", 24, [1, 2, 3, 6, 8, 13, 16]),
     (partial(verify.verify_thm1_2, max_n=20), "p", 49, [2, 3, 4, 7, 9, 14, 17]),
     (partial(verify.verify_thm1_3, max_n=20), "a", 17, [17]),
-    (partial(verify.verify_eq17, max_n=14), "ustar", 12, [12]),
-    # each n is recorded against both c(n) and the h-formula
-    (partial(verify.verify_cor1_5, max_n=20), "ustar", 24, [1, 1, 2, 2, 3, 3, 6, 6, 8, 8, 13, 13, 16, 16]),
+    # u* = 2a - spt moves with either column, and the enumeration does not
+    (partial(verify.verify_eq17, max_n=14), "a", 12, [12]),
+    (partial(verify.verify_eq17, max_n=14), "spt", 12, [12]),
+    (partial(verify.verify_cor1_5, max_n=20), "spt", 24, [1, 2, 3, 6, 8, 13, 16]),
     (partial(check_congruences, "andrews", max_n=40), "spt", 4, [4]),
     (partial(check_congruences, "all", max_n=40), "spt", 4, [4]),
     (partial(check_congruences, "eq5", max_n=200), "spt", 74, [74]),
-    (partial(check_congruences, "cor1_4", max_n=200), "ustar", 74, [74]),
-], ids=["thm1_2-spt", "thm1_2-p", "thm1_3", "eq17", "cor1_5",
+    # u* - 2a = -spt, so only a fault in spt reaches cor1_4
+    (partial(check_congruences, "cor1_4", max_n=200), "spt", 74, [74]),
+], ids=["thm1_2-spt", "thm1_2-p", "thm1_3", "eq17", "eq17-spt", "cor1_5",
         "andrews", "all", "eq5", "cor1_4"])
 def test_verifier_fails_at_corrupted_entry(perturbed, verifier, column, index, exponents):
     perturbed(column, index)
