@@ -117,29 +117,6 @@ def a_table(N: int) -> list[int]:
     return _over_euler(N, _a_kernel(N))
 
 
-def packing_shift(N: int) -> int:
-    """A shift B with p(n) < 2^B for every n <= N, from p(n) < exp(pi sqrt(2n/3))
-    (Apostol, Introduction to Analytic Number Theory, Thm 14.5) and a margin bit
-    for the float rounding."""
-    return int(math.pi * math.sqrt(2 * N / 3) / math.log(2)) + 2
-
-
-def p_and_a_tables(N: int) -> tuple[list[int], list[int]]:
-    """(p_table(N), a_table(N)) from one recurrence: both are P(q) times a kernel,
-    so x = p + a 2^B solves it with the kernel 1 + 2^B K_a. As 0 <= p < 2^B, p is
-    x mod 2^B and a is x >> B (the floor of x / 2^B) exactly, whatever the sign of a."""
-    B = packing_shift(N)
-    # p's kernel is 1 and a's has no constant term; the shifted kernel is a
-    # generator, so its wide integers live only in x, each until its row is solved
-    x = _over_euler(N, chain([1], (v << B for v in _a_kernel(N)[1:])))
-    mask = (1 << B) - 1
-    p = []
-    for i, v in enumerate(x):  # a takes x's place, so each packed row goes as it is read
-        p.append(v & mask)
-        x[i] = v >> B
-    return p, x
-
-
 # ----------------------------------------------------------------------
 # guarded oracles
 
@@ -257,18 +234,18 @@ def ustar_bruteforce(N: int) -> list[int]:
 # tables
 
 class StatTables(NamedTuple):
-    """Immutable exact tables of p, spt and a up to a build limit; u* is read from them."""
+    """The exact spt table up to a limit, with p and a read through that limit from
+    the process's columns; u* is read from them."""
 
     limit: int
-    p: tuple[int, ...]
     spt: tuple[int, ...]
-    a: tuple[int, ...]
 
     @classmethod
     def build(cls, N: int) -> "StatTables":
-        spt = spt_table(N)  # first: its pass then holds no p and a columns
-        p, a = p_and_a_tables(N)
-        return cls(N, tuple(p), tuple(spt), tuple(a))
+        return cls(N, tuple(spt_table(N)))
+
+    p = property(lambda self: _column("p", self.limit))
+    a = property(lambda self: _column("a", self.limit))
 
     def require(self, n: int) -> None:
         if n > self.limit:
@@ -280,9 +257,19 @@ class StatTables(NamedTuple):
 
 
 _TABLES: StatTables | None = None
+_COLUMNS: dict[str, tuple[int, ...]] = {}  # "p" and "a", each as deep as its deepest reader
 # The deepest row stat_tables builds: it admits congruences --ell 5 --m 3, the deepest
-# request measured, which reads row 124,349 (18-20 s and 84 MiB on a 2-vCPU VM).
+# request measured, which reads spt and a to row 124,349 (8-10 s, 56 MiB on 2 vCPUs).
 MAX_TABLE_ROW = 125_000
+
+
+def _column(name: str, n: int) -> tuple[int, ...]:
+    """The process's column "p" or "a", solved again, through row n, only when
+    a reader reads past its end."""
+    col = _COLUMNS.get(name)
+    if col is None or len(col) <= n:
+        col = _COLUMNS[name] = tuple((p_table if name == "p" else a_table)(n))
+    return col
 
 
 def require_table_row(n: int) -> None:
@@ -292,14 +279,15 @@ def require_table_row(n: int) -> None:
 
 
 def stat_tables(n: int) -> StatTables:
-    """The process's one table, rebuilt to row n only when a reader asks past it;
-    each reader asks for the largest index it reads, so no caller sizes tables.
-    A row past MAX_TABLE_ROW raises QsptError before anything is built."""
+    """The process's one table with limit n: spt is rebuilt to row n only when a
+    reader asks past it, and p and a reach row n when read. Each reader asks for
+    the largest index it reads, so no caller sizes tables. A row past
+    MAX_TABLE_ROW raises QsptError before anything is built."""
     global _TABLES
     require_table_row(n)
     if _TABLES is None or _TABLES.limit < n:
         _TABLES = StatTables.build(n)
-    return _TABLES
+    return _TABLES._replace(limit=n)
 
 
 # ----------------------------------------------------------------------
@@ -444,10 +432,14 @@ def _family_reads(family: str, max_n: int, ell: int, m: int,
             for s in signs]
 
 
+def _deepest(reads: list[tuple[int, Sequence[int]]]) -> int:
+    """The deepest row in a family's reads, 0 if it reads none."""
+    return max((idx[-1] for _, idx in reads if idx), default=0)
+
+
 def _congruence_rows(family: str, max_n: int, ell: int, m: int, sign: str) -> int:
     """The deepest table row a congruence family reads; for 'all', the deepest of its three."""
-    return max((idx[-1] for f in _FAMILIES[family]
-                for _, idx in _family_reads(f, max_n, ell, m, sign) if idx), default=0)
+    return max(_deepest(_family_reads(f, max_n, ell, m, sign)) for f in _FAMILIES[family])
 
 
 def _require_family_rows(ell: int, m: int) -> None:
@@ -469,7 +461,8 @@ def check_congruences(family: str, max_n: int, ell: int = 5, m: int = 1,
     Families: 'andrews' (the mod 5/7/13 spt congruences), 'eq5' (the mod-ell
     family), 'eq6' (mod ell^m), 'cor1_4' (u* = 2a mod ell^m at the same
     indices), 'all' (every family at its defaults). The tables are sized
-    before any family runs, so a request past their cap builds nothing."""
+    before any family runs, so a request past their cap builds nothing; each
+    family then reads them to its own deepest row."""
     if family not in _FAMILIES:
         raise UnknownCheck(f"unknown congruence family {family!r}")
     if family != "andrews":
@@ -480,10 +473,11 @@ def check_congruences(family: str, max_n: int, ell: int = 5, m: int = 1,
                              parameters={"max_n": max_n, "ell": ell, "m": m,
                                          "sign_convention": sign},
                              window=(1, max_n + 1))
-    tables = stat_tables(_congruence_rows(family, max_n, ell, m, sign))
+    stat_tables(_congruence_rows(family, max_n, ell, m, sign))
     for fam in _FAMILIES[family]:
         before, lines = len(rep.mismatches), []
         reads = _family_reads(fam, max_n, ell, m, sign)
+        tables = stat_tables(_deepest(reads))  # so cor1_4 solves a to its own rows only
         if fam == "andrews":
             for mod, indices in reads:
                 for idx in indices:

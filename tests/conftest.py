@@ -15,17 +15,19 @@ def tables():
 
 @pytest.fixture
 def perturbed(tables, monkeypatch):
-    """Install the session tables, with delta added to entry index of one
-    column, as the process tables that every verifier reads; return them.
-    Every reader of a fault-injection test stays within their 640 rows, so
-    none rebuilds the tables and drops the corruption."""
+    """Add delta to entry index of one column, where every verifier reads it:
+    a corrupted spt goes in the session tables, installed as the process
+    tables, and a corrupted p or a in the process's column cache. Every reader
+    of a fault-injection test stays within the 640 rows of the session tables,
+    so none rebuilds the tables or re-solves a column and drops the corruption."""
 
     def install(column, index, delta=1):
         col = getattr(tables, column)
         bumped = col[:index] + (col[index] + delta,) + col[index + 1:]
-        corrupted = tables._replace(**{column: bumped})
-        monkeypatch.setattr(partitions, "_TABLES", corrupted)
-        return corrupted
+        if column == "spt":
+            monkeypatch.setattr(partitions, "_TABLES", tables._replace(spt=bumped))
+        else:
+            monkeypatch.setitem(partitions._COLUMNS, column, bumped)
 
     return install
 

@@ -23,9 +23,10 @@ from qspt.series import LaurentSeries
 
 @pytest.fixture(autouse=True)
 def isolated_cache(tmp_path, monkeypatch):
-    # every qspt invocation is a fresh process: no file cache, no tables
+    # every qspt invocation is a fresh process: no file cache, no tables, no columns
     monkeypatch.setenv("QSPT_CACHE", str(tmp_path / "cache"))
     monkeypatch.setattr(partitions, "_TABLES", None)
+    monkeypatch.setattr(partitions, "_COLUMNS", {})
     return tmp_path
 
 
@@ -37,10 +38,11 @@ def run(capsys, *argv):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Record the n of every StatTables.build call and count the calls of the
-    thm1_3 and eq17 enumeration oracles. A build past the row cap fails the
-    test instead of running, so a test of the cap never builds millions of rows."""
-    calls = {"builds": [], "oracle": 0}
+    """Record the n of every StatTables.build call and of every solve of the p
+    and a columns, and count the calls of the thm1_3 and eq17 enumeration
+    oracles. A build past the row cap fails the test instead of running, so a
+    test of the cap never builds millions of rows."""
+    calls = {"builds": [], "oracle": 0, "p": [], "a": []}
     build = StatTables.build.__func__
 
     def counting_build(cls, n):
@@ -54,6 +56,11 @@ def counted(monkeypatch):
             calls["oracle"] += 1
             return oracle(n)
         monkeypatch.setattr(partitions, name, counting_oracle)
+    for column in ("p", "a"):
+        def counting_solve(n, column=column, solve=getattr(partitions, column + "_table")):
+            calls[column].append(n)
+            return solve(n)
+        monkeypatch.setattr(partitions, column + "_table", counting_solve)
     return calls
 
 
@@ -371,6 +378,28 @@ def test_table_ustar_keeps_its_digest(capsys):
         "b55dfa8d40d4c89fd4174d24c7a39205fc901d57268f2ce98c83ee90f78229dd")
 
 
+# the sha256 of the stdout of each command, from an empty process table and file cache
+DIGESTS = {
+    "table --name p --max-n 2000":
+        "be526f5bac9bbe04bf68ec79517699970260a7039b11a39b6009d40a0701383a",
+    "table --name spt --max-n 2000":
+        "b4824d0876062aa5de32949ce5f8a448b9aae34ae4842670780cc399565bca16",
+    "table --name a --max-n 2000":
+        "15bf5880119e12058610c124c48f8c4d806518553cd01300243c736bcea7bedf",
+    "series --name mplus --prec 600":
+        "68551b3cf8eda7cc40902787e5646128c84ca395702a58824abdf3a58ecab72a",
+    "series --name m_ell:7 --prec 600":
+        "94dbb76167e25e9aa9e65a1216f8fa3d7b2b813aedc1d15e61cd0b9ea3d8da26",
+}
+
+
+@pytest.mark.parametrize("argv", DIGESTS)
+def test_tables_and_series_keep_their_digests(capsys, argv):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[argv]
+
+
 def test_run_check_refuses_an_unknown_check():
     with pytest.raises(UnknownCheck, match="unknown check 'nope'"):
         cli.run_check("nope")
@@ -415,7 +444,7 @@ def test_an_option_the_check_does_not_read_exits_2(capsys, counted, check, flag)
     code, out, err = run(capsys, "verify", check, flag, VALUES[flag])
     assert (code, out) == (2, "")
     assert err == f"error: {check} does not read {flag}\n"
-    assert counted == {"builds": [], "oracle": 0}
+    assert counted == {"builds": [], "oracle": 0, "p": [], "a": []}
 
 
 def test_every_unread_option_is_named(capsys):
@@ -520,47 +549,6 @@ def test_verify_fail_exit_one(capsys):
     assert json.loads(out)["status"] == "fail"
 
 
-def test_verify_perturbed_tables_exit_one(capsys, perturbed):
-    perturbed("spt", 24)
-    code, out, _ = run(capsys, "verify", "thm1_2")
-    assert code == 1
-    doc = json.loads(out)
-    assert doc["status"] == "fail"
-    assert [m["exponent"] for m in doc["mismatches"]] == [1, 2, 3, 6, 8, 13, 16]
-
-
-def test_verify_internal_identities_perturbed_j_exit_one(capsys, perturbed_j):
-    perturbed_j(100)  # past the 32 coefficients of j that the basis chain reads
-    code, out, _ = run(capsys, "verify", "internal_identities")
-    assert code == 1
-    doc = json.loads(out)
-    assert doc["status"] == "fail"
-    assert [m["exponent"] for m in doc["mismatches"]] == list(range(100, 500))
-    assert "j * Delta = E4^3: MISMATCH" in doc["details"]
-
-
-def test_verify_thm1_1_perturbed_j_exit_one(capsys, perturbed_j):
-    perturbed_j(1)
-    code, out, _ = run(capsys, "verify", "thm1_1", "--ell", "5", "--window", "240")
-    assert code == 1
-    doc = json.loads(out)
-    assert doc["status"] == "fail"
-    assert [m["exponent"] for m in doc["mismatches"]] == list(range(23, 240, 24))
-
-
-@pytest.mark.parametrize("check, oracle, bumped", [("thm1_3", "ts_sum_bruteforce", 17),
-                                                    ("eq17", "ustar_bruteforce", 13)])
-def test_verify_perturbed_oracle_exit_one(capsys, perturbed_oracle, check, oracle, bumped):
-    # the enumeration side fails too: its true list with one entry off by one
-    perturbed_oracle(oracle, bumped)
-    code, out, err = run(capsys, "verify", check, "--max-n", "20")
-    assert code == 1
-    doc = json.loads(out)
-    assert doc["status"] == "fail"
-    assert [m["exponent"] for m in doc["mismatches"]] == [bumped]
-    assert re.fullmatch(rf"{check}: fail \(1 mismatches of 20 compared, \d+ ms\)\n", err)
-
-
 # One fault for each check of cli.CHECKS: (the options it runs with, the fixture
 # that installs the fault and its arguments, the mismatch exponents, the count
 # compared, and the details that end in MISMATCH). Every table fault stays in the
@@ -626,7 +614,7 @@ def test_enumeration_guard_fires_before_any_work(capsys, counted, check, max_n, 
     code, out, err = run(capsys, "verify", check, "--max-n", str(max_n))
     assert (code, out) == (2, "")
     assert err == f"error: {kind} enumeration guarded at n <= {guard}\n"
-    assert counted == {"builds": [], "oracle": 0}
+    assert counted == {"builds": [], "oracle": 0, "p": [], "a": []}
 
 
 def test_verify_suite_builds_the_tables_once(counted):
@@ -640,12 +628,28 @@ def test_verify_suite_builds_the_tables_once(counted):
     for check in ("thm1_2", "cor1_5", "thm1_3", "eq17"):
         assert cli.run_check(check).passed
     assert counted["builds"] == [2499]
+    # p once, for thm1_1; a for the cor1_4 rows of congruences (n <= 190), then of cor1_4
+    assert (counted["p"], counted["a"]) == ([2499], [124, 199])
 
 
 def test_congruences_size_the_tables_for_their_deepest_family_first(counted):
-    # andrews reads row 656 and cor1_4 mod 7^2 row 4702: one build, not one per family
+    # andrews reads row 656 and cor1_4 mod 7^2 row 4702: one build, not one per family;
+    # cor1_4 solves a to its row, and no family reads p
     assert cli.run_check("congruences", ell=7, m=2, max_n=50).passed
     assert counted["builds"] == [4702]
+    assert (counted["p"], counted["a"]) == ([], [4702])
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (("verify", "thm1_1", "--ell", "5", "--window", "240"), 249),
+    (("verify", "thm1_2", "--max-n", "20"), 499),
+    (("series", "--name", "m_ell:5", "--prec", "240"), 249),
+], ids=["thm1_1", "thm1_2", "m_ell:5"])
+def test_m_plus_readers_solve_no_a(capsys, counted, argv, rows):
+    # M+ reads spt and p, to the deepest row of M_5
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    assert counted == {"builds": [rows], "oracle": 0, "p": [rows], "a": []}
 
 
 @pytest.mark.parametrize("argv", [
@@ -693,15 +697,6 @@ def test_verify_cor1_4_sizes_its_own_tables(capsys):
     code, out, _ = run(capsys, "verify", "cor1_4", "--ell", "7")
     assert code == 0
     assert json.loads(out)["status"] == "pass"
-
-
-def test_verify_non_integral_exit_one(capsys, perturbed):
-    perturbed("spt", 3, Fraction(1, 7))
-    code, out, _ = run(capsys, "verify", "eq9_mod_ell", "--ell", "5", "--window", "120")
-    assert code == 1
-    doc = json.loads(out)
-    assert doc["status"] == "fail"
-    assert [m["exponent"] for m in doc["mismatches"]] == [71]
 
 
 # Run as `python -I -c _COLD_START SRC` with the src directory SRC.

@@ -101,16 +101,29 @@ def test_sparse_division_equals_series_division(case, jacobi):
     assert [quotient.coeff(n) for n in range(N + 1)] == solved
 
 
-def test_stat_tables_are_immutable_values():
+def test_stat_tables_are_immutable_values(monkeypatch):
+    monkeypatch.setattr(pt, "_COLUMNS", {})
     t = pt.StatTables.build(3)
     assert t == pt.StatTables.build(3) and hash(t) == hash(pt.StatTables.build(3))
     assert t != pt.StatTables.build(4)
-    assert repr(t) == ("StatTables(limit=3, p=(1, 1, 2, 3), spt=(0, 1, 3, 5), "
-                       "a=(0, 1, 2, 2))")
+    assert repr(t) == "StatTables(limit=3, spt=(0, 1, 3, 5))"
+    # p and a are solved through the limit when first read
+    assert (t.p, t.a) == ((1, 1, 2, 3), (0, 1, 2, 2))
     assert [t.ustar(n) for n in range(4)] == [0, 1, 1, -1]
-    for attr in ("spt", "other"):
+    for attr in ("p", "spt", "a", "other"):
         with pytest.raises(AttributeError):
             setattr(t, attr, ())
+
+
+def test_a_column_is_solved_again_only_past_its_end(monkeypatch):
+    solved = []
+    p_table = pt.p_table
+    monkeypatch.setattr(pt, "_COLUMNS", {})
+    monkeypatch.setattr(pt, "p_table", lambda n: solved.append(n) or p_table(n))
+    for n in (10, 4, 10, 30, 12):
+        assert pt.StatTables(n, ()).p[:n + 1] == tuple(p_table(n))
+    assert solved == [10, 30]
+    assert pt._COLUMNS == {"p": tuple(p_table(30))}
 
 
 def test_spt_bruteforce_matches_table():
@@ -158,17 +171,6 @@ def test_iter_partitions_counts():
 def test_a_table_values():
     a = pt.a_table(6)
     assert a[1:7] == [1, 2, 2, 5, 6, 14]
-
-
-@pytest.mark.parametrize("N", [0, 1, 2, 3, 4, 5, 24, 625, 1225, 2501])
-def test_packed_pass_equals_the_two_tables(N):
-    assert pt.p_and_a_tables(N) == (pt.p_table(N), pt.a_table(N))
-
-
-def test_packing_shift_clears_p():
-    # a margin bit beyond p(N) for every N, so p never carries into a's bits
-    p = pt.p_table(3000)
-    assert all(pt.packing_shift(N) > p[N].bit_length() for N in range(3001))
 
 
 def test_t_signed_examples():
@@ -460,7 +462,7 @@ def test_stat_tables_cap_admits_the_deepest_documented_request(monkeypatch):
 
     def fake_build(cls, n):
         built.append(n)
-        return cls(n, (), (), ())
+        return cls(n, ())
 
     monkeypatch.setattr(pt, "_TABLES", None)
     monkeypatch.setattr(pt.StatTables, "build", classmethod(fake_build))
