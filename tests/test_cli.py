@@ -549,6 +549,47 @@ def test_verify_fail_exit_one(capsys):
     assert json.loads(out)["status"] == "fail"
 
 
+def test_verify_perturbed_tables_exit_one(capsys, perturbed):
+    perturbed("spt", 24)
+    code, out, _ = run(capsys, "verify", "thm1_2")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "fail"
+    assert [m["exponent"] for m in doc["mismatches"]] == [1, 2, 3, 6, 8, 13, 16]
+
+
+def test_verify_internal_identities_perturbed_j_exit_one(capsys, perturbed_j):
+    perturbed_j(100)  # past the 32 coefficients of j that the basis chain reads
+    code, out, _ = run(capsys, "verify", "internal_identities")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "fail"
+    assert [m["exponent"] for m in doc["mismatches"]] == list(range(100, 500))
+    assert "j * Delta = E4^3: MISMATCH" in doc["details"]
+
+
+def test_verify_thm1_1_perturbed_j_exit_one(capsys, perturbed_j):
+    perturbed_j(1)
+    code, out, _ = run(capsys, "verify", "thm1_1", "--ell", "5", "--window", "240")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "fail"
+    assert [m["exponent"] for m in doc["mismatches"]] == list(range(23, 240, 24))
+
+
+@pytest.mark.parametrize("check, oracle, bumped", [("thm1_3", "ts_sum_bruteforce", 17),
+                                                    ("eq17", "ustar_bruteforce", 13)])
+def test_verify_perturbed_oracle_exit_one(capsys, perturbed_oracle, check, oracle, bumped):
+    # the enumeration side fails too: its true list with one entry off by one
+    perturbed_oracle(oracle, bumped)
+    code, out, err = run(capsys, "verify", check, "--max-n", "20")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "fail"
+    assert [m["exponent"] for m in doc["mismatches"]] == [bumped]
+    assert re.fullmatch(rf"{check}: fail \(1 mismatches of 20 compared, \d+ ms\)\n", err)
+
+
 # One fault for each check of cli.CHECKS: (the options it runs with, the fixture
 # that installs the fault and its arguments, the mismatch exponents, the count
 # compared, and the details that end in MISMATCH). Every table fault stays in the
@@ -697,6 +738,15 @@ def test_verify_cor1_4_sizes_its_own_tables(capsys):
     code, out, _ = run(capsys, "verify", "cor1_4", "--ell", "7")
     assert code == 0
     assert json.loads(out)["status"] == "pass"
+
+
+def test_verify_non_integral_exit_one(capsys, perturbed):
+    perturbed("spt", 3, Fraction(1, 7))
+    code, out, _ = run(capsys, "verify", "eq9_mod_ell", "--ell", "5", "--window", "120")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["status"] == "fail"
+    assert [m["exponent"] for m in doc["mismatches"]] == [71]
 
 
 # Run as `python -I -c _COLD_START SRC` with the src directory SRC.
