@@ -32,8 +32,8 @@ CACHE_TAG = f"qspt {__version__} cache 1"
 
 # The largest --prec of a series that reads no table (the table-backed mplus,
 # spt_gen24 and m_ell:<prime> meet the row cap instead). At 2,400 the slowest
-# such names take 27 s (r_ell:71) and 7.5-7.7 s (alpha, 21,736-bit coefficients)
-# on a 2-vCPU VM.
+# such names take 21.1-21.5 s (r_ell:71) and 6.2-7.1 s (alpha, 21,736-bit
+# coefficients) in fresh processes, Python 3.11.7 on a 2-vCPU VM.
 MAX_SERIES_PREC = 2400
 
 
@@ -146,9 +146,11 @@ def cmd_table(args) -> int:
         value = partitions.s_fn
     elif name == "c_formula":
         value = partial(partitions.c_formula, tables=partitions.c_formula_tables(max_n))
+    elif name in ("p", "a"):  # a column alone, with no spt solve
+        value = partitions.column(name, max_n).__getitem__
     else:
         t = partitions.stat_tables(max_n)
-        value = t.ustar if name == "ustar" else getattr(t, name).__getitem__
+        value = t.ustar if name == "ustar" else t.spt.__getitem__
     values = [(n, value(n)) for n in range(1, max_n + 1)]
     if args.format == "json":
         doc = json.dumps([{"n": n, "value": str(v)} for n, v in values])

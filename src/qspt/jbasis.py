@@ -1,5 +1,6 @@
 """Canonical polynomial families in j: the B_m basis and the Faber polynomials,
-and their evaluation at j and at j(24 tau)."""
+and their evaluation at j and at j(24 tau). A polynomial is a tuple of ints,
+constant term first, so its degree is len(p) - 1."""
 
 from __future__ import annotations
 
@@ -11,53 +12,17 @@ from . import forms, series
 from .series import LaurentSeries
 
 
-class IntPolynomial:
-    """Dense integer polynomial in one variable, index = degree."""
-
-    __slots__ = ("coefficients",)
-
-    def __init__(self, coefficients):
-        cs = [int(c) for c in coefficients]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coefficients = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def is_monic(self) -> bool:
-        return bool(self.coefficients) and self.coefficients[-1] == 1
-
-    def __eq__(self, other):
-        if isinstance(other, IntPolynomial):
-            return self.coefficients == other.coefficients
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coefficients)
-
-    def __repr__(self):
-        return f"IntPolynomial({list(self.coefficients)})"
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-
-def b_polynomials(M: int) -> list[IntPolynomial]:
+def b_polynomials(M: int) -> list[tuple[int, ...]]:
     """B_1..B_M with (j(tau) - x) * sum B_m(x) q^m = (q;q)_inf."""
     return _j_recurrence(forms.euler_series(max(M, 1)), 1, M)
 
 
-def faber_polynomials(M: int) -> list[IntPolynomial]:
+def faber_polynomials(M: int) -> list[tuple[int, ...]]:
     """J_0..J_M with (j(tau) - x) * sum J_n(x) q^n = E4^2 E6 / Delta."""
     return _j_recurrence(forms.jprime_neg_series(max(M, 1)), 0, M + 1)
 
 
-def _j_recurrence(seed: LaurentSeries, start: int, count: int) -> list[IntPolynomial]:
+def _j_recurrence(seed: LaurentSeries, start: int, count: int) -> list[tuple[int, ...]]:
     """P_0..P_{count-1} with (j(tau) - x) * sum P_n(x) q^(n+start) = seed.
 
     Coefficient-matching gives P_0 = 1 and
@@ -79,17 +44,17 @@ def _j_recurrence(seed: LaurentSeries, start: int, count: int) -> list[IntPolyno
             col.append(nxt[k])
         cols.append([nxt[-1]])
         rows.append(nxt)
-    return [IntPolynomial(r) for r in rows]
+    return [tuple(r) for r in rows]
 
 
-def eval_at_j24(poly: IntPolynomial, P: int) -> LaurentSeries:
+def eval_at_j24(poly: tuple[int, ...], P: int) -> LaurentSeries:
     """A polynomial evaluated at j(24 tau), truncated below P."""
-    need = max(-((-P) // 24), 1) + poly.degree + 2
+    need = max(-((-P) // 24), 1) + len(poly) + 1  # its degree + 2
     j24 = forms.j_series(need).stride_expand(24)
     return eval_at_series([poly], j24)[0].truncate(P)
 
 
-def eval_at_series(polys: Sequence[IntPolynomial], s: LaurentSeries) -> list[LaurentSeries]:
+def eval_at_series(polys: Sequence[tuple[int, ...]], s: LaurentSeries) -> list[LaurentSeries]:
     """Each polynomial evaluated at the series s, as sum c_i s^i over one table of
     powers 1, s, ..., s^d built once for all of them (d the largest degree).
 
@@ -97,10 +62,10 @@ def eval_at_series(polys: Sequence[IntPolynomial], s: LaurentSeries) -> list[Lau
     is lower (s of negative valuation), as by Horner's scheme; the zero polynomial
     gives zero below precision(s) - valuation(s)."""
     powers = [s.pow(0), s]
-    top = max((p.degree for p in polys), default=0)
+    top = max((len(p) - 1 for p in polys), default=0)
     while len(powers) <= top:
         powers.append(powers[-1] * s)
-    return [_combine(p.coefficients, powers) for p in polys]
+    return [_combine(p, powers) for p in polys]
 
 
 def _combine(cs: tuple[int, ...], powers: list[LaurentSeries]) -> LaurentSeries:

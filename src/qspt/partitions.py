@@ -244,8 +244,8 @@ class StatTables(NamedTuple):
     def build(cls, N: int) -> "StatTables":
         return cls(N, tuple(spt_table(N)))
 
-    p = property(lambda self: _column("p", self.limit))
-    a = property(lambda self: _column("a", self.limit))
+    p = property(lambda self: column("p", self.limit))
+    a = property(lambda self: column("a", self.limit))
 
     def require(self, n: int) -> None:
         if n > self.limit:
@@ -259,11 +259,12 @@ class StatTables(NamedTuple):
 _TABLES: StatTables | None = None
 _COLUMNS: dict[str, tuple[int, ...]] = {}  # "p" and "a", each as deep as its deepest reader
 # The deepest row stat_tables builds: it admits congruences --ell 5 --m 3, the deepest
-# request measured, which reads spt and a to row 124,349 (8-10 s, 56 MiB on 2 vCPUs).
+# request measured, which reads spt and a to row 124,349 (10-15 s and 56 MiB in a fresh
+# process, Python 3.11.7 on a 2-vCPU VM).
 MAX_TABLE_ROW = 125_000
 
 
-def _column(name: str, n: int) -> tuple[int, ...]:
+def column(name: str, n: int) -> tuple[int, ...]:
     """The process's column "p" or "a", solved again, through row n, only when
     a reader reads past its end."""
     col = _COLUMNS.get(name)
@@ -315,11 +316,6 @@ def s_fn(n: int) -> int:
 def _isqrt_exact(m: int) -> int | None:
     r = math.isqrt(m)
     return r if r * r == m else None
-
-
-def mu(n: int) -> int:
-    """mu_n = 6 - ((1-24n)|5): the factor of M+[24n-1] in M_5[24n-1] (see mell_terms)."""
-    return mell_terms(5, n)[1][0]
 
 
 def mplus_parts(tables: StatTables, k: int) -> tuple[int, int]:

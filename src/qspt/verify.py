@@ -32,10 +32,10 @@ def verify_thm1_3(max_n: int) -> VerificationReport:
     partitions.enumeration_guard("partition", max_n)
     rep = VerificationReport(check="thm1_3", parameters={"max_n": max_n},
                              window=(1, max_n + 1))
-    tables = partitions.stat_tables(max_n)
+    a = partitions.column("a", max_n)  # the a column alone, with no spt solve
     ts = partitions.ts_sum_bruteforce(max_n)
     for n in range(1, max_n + 1):
-        rep.record(n, ts[n], tables.a[n])
+        rep.record(n, ts[n], a[n])
     return rep
 
 

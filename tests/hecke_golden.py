@@ -1,0 +1,63 @@
+"""The Hecke side of Theorem 1.1 pinned by sha256: for every prime 5 <= ell <= 71,
+r_ell and the closed form m_ell_closed_form at precisions 24 and 240, and the
+thm1_1 reports at ell = 23 and 47, window 240. The digests are in
+hecke_digests.json beside this file.
+
+test_hecke.py checks every digest with ell <= 47. The deeper primes take about
+a minute by Horner's scheme, so they run as a script:
+
+    PYTHONPATH=src python tests/hecke_golden.py 53 71
+
+which checks every digest with 53 <= ell <= 71 and exits 1 on a mismatch."""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+
+from qspt import hecke
+from qspt.hecke import HeckeContext
+
+PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "hecke_digests.json")
+
+
+def document(key: str) -> str:
+    """The text that key's digest hashes. "r_ell:<ell>@<P>" is the stdout of
+    qspt series --name r_ell:<ell> --prec <P>; "m_ell_closed_form:<ell>@<P>" is
+    that series' interchange JSON in the same form; "thm1_1:<ell>@<W>" is the
+    report's to_dict without runtime_ms, dumped with sorted keys."""
+    name, _, prec = key.partition("@")
+    kind, _, ell = name.partition(":")
+    ctx, prec = HeckeContext(int(ell)), int(prec)
+    if kind == "thm1_1":
+        doc = hecke.verify_thm11(ctx, prec).to_dict()
+        del doc["runtime_ms"]
+        return json.dumps(doc, sort_keys=True) + "\n"
+    build = {"r_ell": hecke.r_ell_series, "m_ell_closed_form": hecke.m_ell_closed_form}[kind]
+    return json.dumps(build(ctx, prec).to_json_dict(name)) + "\n"
+
+
+def digest(key: str) -> str:
+    return hashlib.sha256(document(key).encode()).hexdigest()
+
+
+def ell_of(key: str) -> int:
+    return int(key.partition("@")[0].partition(":")[2])
+
+
+def recorded() -> dict[str, str]:
+    with open(PATH) as fh:
+        return json.load(fh)
+
+
+if __name__ == "__main__":
+    lo, hi = map(int, sys.argv[1:3])
+    bad = 0
+    for key, want in recorded().items():
+        if lo <= ell_of(key) <= hi:
+            ok = digest(key) == want
+            bad += not ok
+            print(f"{key}: {'ok' if ok else 'MISMATCH'}", flush=True)
+    sys.exit(1 if bad else 0)

@@ -10,6 +10,8 @@ from qspt.errors import BadModulus, BadSupport, QsptError
 from qspt.hecke import HeckeContext
 from qspt.series import LaurentSeries
 
+import hecke_golden
+
 
 def test_context_validation():
     for bad in (2, 3, 4, 6, 9, 15):
@@ -179,3 +181,12 @@ def test_verify_mod_ell_non_integral_fails(perturbed):
     assert rep.status == "fail"
     assert [m.exponent for m in rep.mismatches] == [71]
     assert rep.mismatches[0].lhs.denominator == 7
+
+
+@pytest.mark.parametrize("ell", sorted({hecke_golden.ell_of(k) for k in hecke_golden.recorded()
+                                        if hecke_golden.ell_of(k) <= 47}))
+def test_hecke_side_keeps_its_digests(ell):
+    # r_ell and the closed form at precisions 24 and 240, and the thm1_1 reports at
+    # ell = 23 and 47; hecke_golden.py checks 53 <= ell <= 71 as a script
+    want = {k: v for k, v in hecke_golden.recorded().items() if hecke_golden.ell_of(k) == ell}
+    assert {k: hecke_golden.digest(k) for k in want} == want

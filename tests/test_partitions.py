@@ -321,7 +321,8 @@ def test_s_fn_values():
 
 
 def test_mu_values():
-    assert [pt.mu(n) for n in range(1, 5)] == [7, 7, 5, 6]
+    # mu_n = 6 - ((1-24n)|5), the factor of M+[24n-1] in M_5[24n-1]
+    assert [pt.mell_terms(5, n)[1][0] for n in range(1, 5)] == [7, 7, 5, 6]
 
 
 # twelve times the coefficients of q^(24k-1) in M_5, k = 1, 2, 3, 24; k = 24 is

@@ -59,6 +59,32 @@ def test_from_terms_rejects_mixed_support():
         LaurentSeries.from_terms({0: 1, 24: 1, 25: 1}, 100, stride=24, offset=0)
 
 
+@pytest.mark.parametrize("args, error, message", [
+    ((0, 0, 0, 5, [1]), ValueError, "stride must be >= 1"),
+    ((24, 24, 0, 50, [1]), ValueError, "offset must lie in"),
+    ((24, -1, 23, 50, [1]), ValueError, "offset must lie in"),
+    ((24, 23, 0, 50, [1]), ValueError, "valuation must be congruent"),
+    ((1, 0, 6, 5, [1]), ValueError, "valuation exceeds precision"),
+    ((24, 23, 23, 50, [1, 2, 3]), ValueError, "longer than the precision window"),
+    ((1, 0, 0, 5, [1], 0), ZeroDivisionError, "denominator must be nonzero"),
+], ids=["stride", "offset", "negative offset", "valuation", "past precision",
+        "too many", "denominator"])
+def test_construction_refuses_an_invalid_series(args, error, message):
+    with pytest.raises(error, match=message):
+        LaurentSeries(*args)
+
+
+def test_series_refuse_assignment_and_invalid_restriding():
+    f = LaurentSeries(24, 23, -1, 100, [1, 2])
+    with pytest.raises(AttributeError, match="immutable"):
+        f.precision = 50
+    with pytest.raises(ValueError, match="expansion factor"):
+        f.stride_expand(0)
+    with pytest.raises(ValueError, match="must divide the old stride"):
+        f._reexpand(5)
+    assert (f.precision, f.stride) == (100, 24)
+
+
 def test_add_mixed_strides():
     f = LaurentSeries(24, 1, 1, 96, [1, 1, 1, 1])
     g = LaurentSeries(24, 23, 23, 96, [2, 2, 2])
