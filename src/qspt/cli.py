@@ -16,6 +16,7 @@ from functools import partial
 from itertools import islice
 
 from . import __version__, forms, hecke, partitions, verify
+from .arith import from_decimal
 from .errors import CacheError, QsptError, UnknownCheck, UnknownSeries
 from .hecke import HeckeContext
 from .series import LaurentSeries, _pp_count
@@ -97,12 +98,13 @@ def build_series(name: str, precision: int) -> LaurentSeries:
     checked against its cap, before the file cache is consulted, so the cache
     never answers for an unknown name or a refused request. A miss replaces
     the entry, so a stale or corrupt one is rebuilt by the first request that
-    meets it."""
+    meets it. An ell is spelt one way, in ASCII digits with no leading zero, so
+    that each series has one name and one entry."""
     kind, _, ell = name.partition(":")
     if name in _SERIES:
         build = _SERIES[name]
-    elif kind in _SERIES_OF_ELL and ell.isdecimal():
-        ctx, of_ell = HeckeContext(int(ell)), _SERIES_OF_ELL[kind]
+    elif kind in _SERIES_OF_ELL and ell.isascii() and ell.isdigit() and ell[0] != "0":
+        ctx, of_ell = HeckeContext(from_decimal(ell)), _SERIES_OF_ELL[kind]
         build = lambda prec: of_ell(ctx, prec)
     else:
         raise UnknownSeries(f"unknown series name {name!r}")

@@ -7,7 +7,7 @@ import math
 from typing import Sequence
 
 from .errors import QsptError
-from .partitions import p_table, pentagonal_terms, triangular_terms
+from .partitions import column, pentagonal_terms, triangular_terms
 from .series import LaurentSeries
 
 
@@ -26,10 +26,9 @@ def eta24_series(P: int) -> LaurentSeries:
 
 
 def partition_gen24(P: int) -> LaurentSeries:
-    """Sum of p(n) q^(24n-1) = 1/eta(24 tau), a stride-24 offset-23 series."""
+    """Sum of p(n) q^(24n-1) = 1/eta(24 tau), stride 24 and offset 23, from the p column."""
     nmax = max(P // 24, 0)
-    p = p_table(nmax)
-    return LaurentSeries(24, 23, -1, P, p)
+    return LaurentSeries(24, 23, -1, P, column("p", nmax)[:nmax + 1])
 
 
 def _eisenstein(P: int, power: int, factor: int, lead: int = 1) -> LaurentSeries:

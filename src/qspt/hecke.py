@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import forms, jbasis
-from .arith import legendre, require_hecke_prime
+from .arith import legendre, require_hecke_prime, to_decimal
 from .errors import BadSupport, QsptError
 from .partitions import _over_euler, mell_terms, mell_weight, mplus_weight, stat_tables
 from .report import VerificationReport
@@ -29,7 +29,7 @@ class HeckeContext(NamedTuple("HeckeContext", [("ell", int)])):
         self = super().__new__(cls, ell)
         if self.delta_ell > MAX_DELTA:  # before the trial division of require_hecke_prime
             raise QsptError(f"ell capped at delta_ell = (ell^2 - 1)/24 <= {MAX_DELTA} "
-                            f"(ell <= 71), got {self.ell}")
+                            f"(ell <= 71), got {to_decimal(self.ell)}")
         require_hecke_prime(self.ell)
         return self
 

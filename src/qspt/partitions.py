@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from operator import add, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .arith import euler_criterion, legendre, require_hecke_prime
+from .arith import euler_criterion, legendre, require_hecke_prime, to_decimal
 from .errors import EnumerationLimit, QsptError, TableTooSmall, UnknownCheck
 from .report import VerificationReport
 
@@ -274,9 +275,9 @@ def column(name: str, n: int) -> tuple[int, ...]:
 
 
 def require_table_row(n: int) -> None:
-    """Raise QsptError if row n is past MAX_TABLE_ROW."""
+    """Raise QsptError if row n is past MAX_TABLE_ROW; Decimal writes an n of any length."""
     if n > MAX_TABLE_ROW:
-        raise QsptError(f"tables capped at row {MAX_TABLE_ROW:,}, {n:,} requested")
+        raise QsptError(f"tables capped at row {MAX_TABLE_ROW:,}, {Decimal(n):,} requested")
 
 
 def stat_tables(n: int) -> StatTables:
@@ -400,14 +401,16 @@ def c1_c2_decompositions(tables: StatTables) -> list[str]:
 # ----------------------------------------------------------------------
 # congruence checking
 
-def spt_family_instances(ell: int, m: int, max_n: int, sign: str) -> list[tuple[int, int]]:
+def spt_family_instances(ell: int, m: int, max_n: int, sign: str,
+                         order: int = 1) -> Iterator[tuple[int, int]]:
     """(n, index) pairs with an integral index (ell^2m * n -+ 1)/24 and (-n|ell) = 1,
-    for a prime ell >= 5 that the caller has checked (check_congruences does, once).
-    As ell^2m = 1 mod 24, the integral indices are those of n = -+1 mod 24."""
+    for a prime ell >= 5 that the caller has checked (check_congruences does, once),
+    in increasing n, or in decreasing n for order -1. As ell^2m = 1 mod 24, the
+    integral indices are those of n = -+1 mod 24."""
     power = ell ** (2 * m)
     shift, first = (1, 23) if sign == "plus" else (-1, 1)
-    return [(n, (power * n + shift) // 24) for n in range(first, max_n + 1, 24)
-            if euler_criterion(-n, ell) == 1]
+    return ((n, (power * n + shift) // 24) for n in range(first, max_n + 1, 24)[::order]
+            if euler_criterion(-n, ell) == 1)
 
 
 _ANDREWS = ((5, 4), (7, 5), (13, 6))  # (mod, res): spt(mod n + res) = 0 mod mod
@@ -415,27 +418,26 @@ _FAMILIES = {"andrews": ("andrews",), "eq5": ("eq5",), "eq6": ("eq6",),
              "cor1_4": ("cor1_4",), "all": ("andrews", "eq5", "cor1_4")}
 
 
-def _family_reads(family: str, max_n: int, ell: int, m: int,
-                  sign: str) -> list[tuple[int, Sequence[int]]]:
+def _family_reads(family: str, max_n: int, ell: int, m: int, sign: str,
+                  order: int = 1) -> list[tuple[int, Iterable[int]]]:
     """The rows a congruence family reads, for its table size and its check alike, as
     (modulus, indices) per group: Andrews' three progressions; for eq5 and eq6 the
-    given sign convention, then the other; for cor1_4 the given convention only."""
+    given sign convention, then the other; for cor1_4 the given convention only.
+    The indices come in increasing order, or in decreasing order for order -1."""
     if family == "andrews":
-        return [(mod, range(res, mod * max_n + res + 1, mod)) for mod, res in _ANDREWS]
+        return [(mod, range(res, mod * max_n + res + 1, mod)[::order]) for mod, res in _ANDREWS]
     mm = 1 if family == "eq5" else m
     signs = (sign,) if family == "cor1_4" else (sign, "minus" if sign == "plus" else "plus")
-    return [(ell ** mm, [idx for _, idx in spt_family_instances(ell, mm, max_n, s)])
+    return [(ell ** mm, (idx for _, idx in spt_family_instances(ell, mm, max_n, s, order)))
             for s in signs]
 
 
-def _deepest(reads: list[tuple[int, Sequence[int]]]) -> int:
-    """The deepest row in a family's reads, 0 if it reads none."""
-    return max((idx[-1] for _, idx in reads if idx), default=0)
-
-
 def _congruence_rows(family: str, max_n: int, ell: int, m: int, sign: str) -> int:
-    """The deepest table row a congruence family reads; for 'all', the deepest of its three."""
-    return max(_deepest(_family_reads(f, max_n, ell, m, sign)) for f in _FAMILIES[family])
+    """The deepest table row a congruence family reads, 0 if none; for 'all', the deepest
+    of its three. Each group's first index in decreasing order lists nothing: the walk
+    down from max_n meets its largest n within ell steps, as 24 is a unit mod ell."""
+    return max(next(iter(indices), 0) for f in _FAMILIES[family]
+               for _, indices in _family_reads(f, max_n, ell, m, sign, -1))
 
 
 def _require_family_rows(ell: int, m: int) -> None:
@@ -447,7 +449,7 @@ def _require_family_rows(ell: int, m: int) -> None:
         power *= ell * ell
         if power > 24 * MAX_TABLE_ROW + 1:
             raise QsptError(f"tables capped at row {MAX_TABLE_ROW:,}, and every index "
-                            f"(ell^{2 * m} n -+ 1)/24 of ell = {ell} is past it")
+                            f"(ell^{to_decimal(2 * m)} n -+ 1)/24 of ell = {ell} is past it")
 
 
 def check_congruences(family: str, max_n: int, ell: int = 5, m: int = 1,
@@ -473,7 +475,8 @@ def check_congruences(family: str, max_n: int, ell: int = 5, m: int = 1,
     for fam in _FAMILIES[family]:
         before, lines = len(rep.mismatches), []
         reads = _family_reads(fam, max_n, ell, m, sign)
-        tables = stat_tables(_deepest(reads))  # so cor1_4 solves a to its own rows only
+        # so cor1_4 solves a to its own rows only
+        tables = stat_tables(_congruence_rows(fam, max_n, ell, m, sign))
         if fam == "andrews":
             for mod, indices in reads:
                 for idx in indices:
@@ -484,7 +487,7 @@ def check_congruences(family: str, max_n: int, ell: int = 5, m: int = 1,
             for idx in indices:
                 rep.record(idx, (tables.ustar(idx) - 2 * tables.a[idx]) % mod, 0)
         else:
-            [(mod, indices), (_, other)] = reads
+            [(mod, indices), (_, other)] = [(mod, list(idx)) for mod, idx in reads]
             for idx in indices:
                 rep.record(idx, tables.spt[idx] % mod, 0)
             bad = sum(1 for idx in other if tables.spt[idx] % mod)

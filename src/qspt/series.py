@@ -20,7 +20,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .arith import fraction_str, from_decimal, to_decimal
 from .errors import LeadingZero, OutOfPrecision
-from .report import VerificationReport
 
 _ZERO = Fraction(0)
 
@@ -242,14 +241,6 @@ class LaurentSeries:
         if not isinstance(other, LaurentSeries):
             return NotImplemented
         return self.precision == other.precision and not (self - other).nums
-
-    def __hash__(self):
-        return hash((self.precision, tuple(self.terms())))
-
-    def agrees_with(self, other: "LaurentSeries", lo: int | None = None,
-                    hi: int | None = None) -> bool:
-        """Coefficientwise equality over [lo, hi); see VerificationReport.compare."""
-        return VerificationReport(check="agrees_with").compare(self, other, lo, hi)
 
     def __repr__(self) -> str:
         parts = [f"{fraction_str(c)}*q^{e}" for e, c in list(self.terms())[:6]]

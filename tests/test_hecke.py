@@ -90,7 +90,7 @@ def test_hecke_linearity():
         g = LaurentSeries.from_terms(ga, 2500, stride=24, offset=23)
         lhs = hecke.hecke_t(f + g, ctx)
         rhs = hecke.hecke_t(f, ctx) + hecke.hecke_t(g, ctx)
-        assert lhs.agrees_with(rhs)
+        assert lhs == rhs
 
 
 @pytest.mark.parametrize("ell", [5, 7, 11, 13, 23])
@@ -150,7 +150,7 @@ def test_r_ell_series():
     # r_ell(q) = (12/ell) eta(24 tau) M_ell
     prod = (forms.eta24_series(130) * hecke.m_ell(ctx, 130)).scale(
         Fraction(12, ctx.ell))
-    assert r.agrees_with(prod, hi=100)
+    assert r.truncate(100) == prod.truncate(100)
 
 
 def test_verify_mod_ell_small():

@@ -370,10 +370,24 @@ def test_c1_c2_decompositions(tables):
 
 def test_spt_family_instances():
     # integral "plus" indices need n = 23 mod 24, and (-n|5) = 1 filters those
-    inst = pt.spt_family_instances(5, 1, 200, "plus")
+    inst = list(pt.spt_family_instances(5, 1, 200, "plus"))
     assert inst == [(71, 74), (119, 124), (191, 199)]
-    assert pt.spt_family_instances(7, 1, 200, "plus")[:3] == [
+    assert list(pt.spt_family_instances(7, 1, 200, "plus"))[:3] == [
         (47, 96), (143, 292), (167, 341)]
+    up = list(pt.spt_family_instances(13, 1, 1000, "minus"))
+    assert list(pt.spt_family_instances(13, 1, 1000, "minus", -1)) == up[::-1]
+
+
+def test_congruence_rows_are_the_deepest_row_each_family_lists():
+    # the walk down from max_n finds the row that listing every instance would
+    for family, (ell, m), sign, max_n in product(
+            ("andrews", "eq5", "eq6", "cor1_4", "all"),
+            ((5, 1), (7, 1), (11, 1), (13, 1), (29, 1), (5, 2), (7, 2)),
+            ("plus", "minus"), range(1, 500, 11)):
+        listed = max((idx for fam in pt._FAMILIES[family]
+                      for _, indices in pt._family_reads(fam, max_n, ell, m, sign)
+                      for idx in indices), default=0)
+        assert pt._congruence_rows(family, max_n, ell, m, sign) == listed
 
 
 def test_congruence_families_test_the_prime_once(monkeypatch):
