@@ -658,13 +658,13 @@ def test_series_j_with_a_numerator_691_does_not_divide_exits_2(capsys, perturbed
 
 
 def test_verify_thm1_3_enumeration_guard_exit_two(capsys):
-    code, out, err = run(capsys, "verify", "thm1_3", "--max-n", "61")
+    code, out, err = run(capsys, "verify", "thm1_3", "--max-n", "2001")
     assert (code, out) == (2, "")
-    assert err == "error: partition enumeration guarded at n <= 60\n"
+    assert err == "error: partition enumeration guarded at n <= 2000\n"
 
 
 @pytest.mark.parametrize("check, max_n, kind, guard", [
-    ("thm1_3", 61, "partition", 60), ("thm1_3", 20000, "partition", 60),
+    ("thm1_3", 2001, "partition", 2000), ("thm1_3", 20000, "partition", 2000),
     ("eq17", 41, "unimodal", 40), ("eq17", 20000, "unimodal", 40),
 ])
 def test_enumeration_guard_fires_before_any_work(capsys, counted, check, max_n, kind, guard):
@@ -685,16 +685,18 @@ def test_verify_suite_builds_the_tables_once(counted):
     for check in ("thm1_2", "cor1_5", "thm1_3", "eq17"):
         assert cli.run_check(check).passed
     assert counted["builds"] == [2499]
-    # p once, for thm1_1; a for the cor1_4 rows of congruences (n <= 190), then of cor1_4
-    assert (counted["p"], counted["a"]) == ([2499], [124, 199])
+    # p once, for thm1_1; a once, for thm1_3, which eq17 then reads; the congruence
+    # checks read spt alone
+    assert (counted["p"], counted["a"]) == ([2499], [40])
 
 
 def test_congruences_size_the_tables_for_their_deepest_family_first(counted):
-    # andrews reads row 656 and cor1_4 mod 7^2 row 4702: one build, not one per family;
-    # cor1_4 solves a to its row, and no family reads p
+    # andrews reads row 656 and cor1_4 mod 7^2 row 4702: one build, not one per family,
+    # and no family reads p or a
     assert cli.run_check("congruences", ell=7, m=2, max_n=50).passed
     assert counted["builds"] == [4702]
-    assert (counted["p"], counted["a"]) == ([], [4702])
+    assert cli.run_check("cor1_4", ell=7, m=2).passed
+    assert (counted["p"], counted["a"]) == ([], [])
 
 
 @pytest.mark.parametrize("argv, rows", [

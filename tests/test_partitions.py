@@ -208,10 +208,11 @@ def test_t_signed_matches_multiplicity_definition(parts, rng):
 
 
 def test_ts_sum_matches_a_table():
-    # every N up to the guard as the top of the recurrence
-    a = pt.a_table(60)
+    # every N <= 60 as the top of the recurrence, then the guard's N once
+    a = pt.a_table(2000)
     for N in range(61):
         assert pt.ts_sum_bruteforce(N) == a[:N + 1]
+    assert pt.ts_sum_bruteforce(2000) == a
 
 
 def _ts_sum_by_lists(n):
@@ -229,7 +230,7 @@ def test_ts_sum_matches_part_list_sum():
 
 def test_ts_sum_enumeration_guard():
     with pytest.raises(EnumerationLimit):
-        pt.ts_sum_bruteforce(61)
+        pt.ts_sum_bruteforce(2001)
 
 
 def test_ustar_values(tables):

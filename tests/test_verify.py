@@ -160,10 +160,11 @@ def test_internal_identities_fail_at_a_perturbed_coefficient_of_j(perturbed_j):
     (partial(check_congruences, "andrews", max_n=40), "spt", 4, [4]),
     (partial(check_congruences, "all", max_n=40), "spt", 4, [4]),
     (partial(check_congruences, "eq5", max_n=200), "spt", 74, [74]),
+    (partial(check_congruences, "eq6", max_n=200), "spt", 74, [74]),
     # u* - 2a = -spt, so only a fault in spt reaches cor1_4
     (partial(check_congruences, "cor1_4", max_n=200), "spt", 74, [74]),
 ], ids=["thm1_2-spt", "thm1_2-p", "thm1_3", "eq17", "eq17-spt", "cor1_5",
-        "andrews", "all", "eq5", "cor1_4"])
+        "andrews", "all", "eq5", "eq6", "cor1_4"])
 def test_verifier_fails_at_corrupted_entry(perturbed, verifier, column, index, exponents):
     perturbed(column, index)
     rep = verifier()
