@@ -12,7 +12,6 @@ import os
 import sys
 import tempfile
 import time
-from functools import partial
 from itertools import islice
 
 from . import __version__, forms, hecke, partitions, verify
@@ -143,17 +142,17 @@ _TABLES = ("p", "spt", "a", "ustar", "s", "c_formula")
 
 def cmd_table(args) -> int:
     name, max_n = args.name, args.max_n
-    partitions.require_table_row(max_n)  # s reads no table, but its rows are capped too
+    rows = range(1, max_n + 1)
     if name == "s":
-        value = partitions.s_fn
+        partitions.require_table_row(max_n)  # s reads no table, but its rows are capped too
+        column = map(partitions.s_fn, rows)
     elif name == "c_formula":
-        value = partial(partitions.c_formula, tables=partitions.c_formula_tables(max_n))
-    elif name in ("p", "a"):  # a column alone, with no spt solve
-        value = partitions.column(name, max_n).__getitem__
-    else:
-        t = partitions.stat_tables(max_n)
-        value = t.ustar if name == "ustar" else t.spt.__getitem__
-    values = [(n, value(n)) for n in range(1, max_n + 1)]
+        column = partitions.c_formula(max_n, partitions.c_formula_tables(max_n))
+    elif name == "ustar":
+        column = map(partitions.stat_tables(max_n).ustar, rows)
+    else:  # p, spt or a: the one column alone
+        column = partitions.column(name, max_n)[1:max_n + 1]
+    values = list(zip(rows, column))
     if args.format == "json":
         doc = json.dumps([{"n": n, "value": str(v)} for n, v in values])
     else:

@@ -9,7 +9,7 @@ from typing import NamedTuple
 from . import forms, jbasis
 from .arith import legendre, require_hecke_prime, to_decimal
 from .errors import BadSupport, QsptError
-from .partitions import _over_euler, mell_terms, mell_weight, mplus_weight, stat_tables
+from .partitions import _over_euler, column, mell_terms, mell_weight, mplus_weight, stat_tables
 from .report import VerificationReport
 from .series import LaurentSeries
 
@@ -45,7 +45,7 @@ class HeckeContext(NamedTuple("HeckeContext", [("ell", int)])):
 def spt_gen24(P: int) -> LaurentSeries:
     """S(q) = sum spt(n) q^(24n-1), stride 24, offset 23."""
     nmax = P // 24
-    return LaurentSeries(24, 23, 23, P, stat_tables(nmax).spt[1:nmax + 1])
+    return LaurentSeries(24, 23, 23, P, column("spt", nmax)[1:nmax + 1])
 
 
 def m_plus(P: int) -> LaurentSeries:

@@ -9,7 +9,7 @@ explicit size guard.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, islice, repeat
@@ -235,8 +235,8 @@ def ustar_bruteforce(N: int) -> list[int]:
 # tables
 
 class StatTables(NamedTuple):
-    """The exact spt table up to a limit, with p and a read through that limit from
-    the process's columns; u* is read from them."""
+    """The tables up to a limit: an spt column, with p and a read through the limit
+    from the process's columns; u* is read from them."""
 
     limit: int
     spt: tuple[int, ...]
@@ -257,20 +257,23 @@ class StatTables(NamedTuple):
         return 2 * self.a[n] - self.spt[n]
 
 
-_TABLES: StatTables | None = None
-_COLUMNS: dict[str, tuple[int, ...]] = {}  # "p" and "a", each as deep as its deepest reader
-# The deepest row stat_tables builds: it admits congruences --ell 5 --m 3, the deepest
+_COLUMNS: dict[str, tuple[int, ...]] = {}  # "spt", "p" and "a", each as deep as its deepest reader
+# The deepest row a column is solved to: it admits congruences --ell 5 --m 3, the deepest
 # request measured, which reads spt alone to row 124,349 (5.8-7.0 s and 39 MiB in a fresh
 # process, Python 3.11.7 on a 2-vCPU VM).
 MAX_TABLE_ROW = 125_000
 
 
 def column(name: str, n: int) -> tuple[int, ...]:
-    """The process's column "p" or "a", solved again, through row n, only when
-    a reader reads past its end."""
+    """The process's column "spt", "p" or "a", solved again, through row n, only when
+    a reader reads past its end; a row past MAX_TABLE_ROW raises QsptError before
+    anything is solved."""
     col = _COLUMNS.get(name)
     if col is None or len(col) <= n:
-        col = _COLUMNS[name] = tuple((p_table if name == "p" else a_table)(n))
+        require_table_row(n)
+        # looked up at each solve, so that a wrapped or replaced solver sees every call
+        solve = {"spt": lambda n: StatTables.build(n).spt, "p": p_table, "a": a_table}[name]
+        col = _COLUMNS[name] = tuple(solve(n))
     return col
 
 
@@ -281,15 +284,9 @@ def require_table_row(n: int) -> None:
 
 
 def stat_tables(n: int) -> StatTables:
-    """The process's one table with limit n: spt is rebuilt to row n only when a
-    reader asks past it, and p and a reach row n when read. Each reader asks for
-    the largest index it reads, so no caller sizes tables. A row past
-    MAX_TABLE_ROW raises QsptError before anything is built."""
-    global _TABLES
-    require_table_row(n)
-    if _TABLES is None or _TABLES.limit < n:
-        _TABLES = StatTables.build(n)
-    return _TABLES._replace(limit=n)
+    """The tables with limit n, a view of the process's columns. Each reader asks for
+    the largest index it reads, so no caller sizes tables."""
+    return StatTables(n, column("spt", n))
 
 
 # ----------------------------------------------------------------------
@@ -354,23 +351,25 @@ def mell_weight(tables: StatTables, ell: int, k: int) -> int:
 
 
 def c_formula_rows(max_n: int) -> int:
-    """The deepest table row c_formula(n <= max_n) reads: the first row of mell_terms(5, max_n)."""
+    """The deepest table row c_formula(max_n, tables) reads: the first row of mell_terms(5, max_n)."""
     return mell_terms(5, max_n)[0][1]
 
 
 def c_formula_tables(max_n: int) -> StatTables:
-    """The process tables through the deepest row c_formula(n <= max_n) reads."""
+    """The tables through the deepest row c_formula(max_n, tables) reads."""
     return stat_tables(c_formula_rows(max_n))
 
 
-def c_formula(n: int, tables: StatTables) -> Fraction:
-    """c(n) = (s(n) + sum_k (-1)^k (12/5) M_5[24n-(6k+1)^2])/n over the k with (6k+1)^2 < 24n.
-    As 24n-(6k+1)^2 = 24(n-g)-1 with g = k(3k+1)/2, the sum runs over the terms (-1)^k q^g
-    of (q;q)_inf with g < n, and M_5 is read through mell_weight."""
-    total = 5 * s_fn(n)
-    for g, sign in pentagonal_terms(n):
-        total += sign * mell_weight(tables, 5, n - g)
-    return Fraction(total, 5 * n)
+def c_formula(max_n: int, tables: StatTables) -> list[Fraction]:
+    """[c(1), ..., c(max_n)], where c(n) = (s(n) + sum_k (-1)^k (12/5) M_5[24n-(6k+1)^2])/n over
+    the k with (6k+1)^2 < 24n. As 24n-(6k+1)^2 = 24(n-g)-1 with g = k(3k+1)/2, the sum runs over
+    the terms (-1)^k q^g of (q;q)_inf with g < n. Each M_5 weight is read through mell_weight
+    once, for all n."""
+    w = [0] + [mell_weight(tables, 5, k) for k in range(1, max_n + 1)]
+    terms = pentagonal_terms(max_n)
+    return [Fraction(5 * s_fn(n) + sum(sign * w[n - g] for g, sign in
+                                       terms[:bisect_left(terms, (n,))]), 5 * n)
+            for n in range(1, max_n + 1)]
 
 
 def c1_c2_decompositions(tables: StatTables) -> list[str]:
@@ -471,7 +470,7 @@ def check_congruences(family: str, max_n: int, ell: int = 5, m: int = 1,
                              parameters={"max_n": max_n, "ell": ell, "m": m,
                                          "sign_convention": sign},
                              window=(1, max_n + 1))
-    spt = stat_tables(_congruence_rows(family, max_n, ell, m, sign)).spt
+    spt = column("spt", _congruence_rows(family, max_n, ell, m, sign))
     for fam in _FAMILIES[family]:
         before, lines = len(rep.mismatches), []
         reads = _family_reads(fam, max_n, ell, m, sign)

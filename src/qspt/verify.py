@@ -16,8 +16,8 @@ def _c_formula_against_j(check: str, max_n: int,
     rep = VerificationReport(check=check, parameters={"max_n": max_n},
                              window=(1, max_n + 1))
     j = forms.j_series(max_n + 1)
-    for n in range(1, max_n + 1):
-        rep.record(n, partitions.c_formula(n, tables), j.coeff(n))
+    for n, c in enumerate(partitions.c_formula(max_n, tables), 1):
+        rep.record(n, c, j.coeff(n))
     return rep
 
 

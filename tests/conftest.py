@@ -15,19 +15,15 @@ def tables():
 
 @pytest.fixture
 def perturbed(tables, monkeypatch):
-    """Add delta to entry index of one column, where every verifier reads it:
-    a corrupted spt goes in the session tables, installed as the process
-    tables, and a corrupted p or a in the process's column cache. Every reader
-    of a fault-injection test stays within the 640 rows of the session tables,
-    so none rebuilds the tables or re-solves a column and drops the corruption."""
+    """Add delta to entry index of one column, where every verifier reads it: the
+    corrupted spt, p or a goes in the process's column cache. Every reader of a
+    fault-injection test stays within the 640 rows of the session tables, so
+    none re-solves a column and drops the corruption."""
 
     def install(column, index, delta=1):
         col = getattr(tables, column)
         bumped = col[:index] + (col[index] + delta,) + col[index + 1:]
-        if column == "spt":
-            monkeypatch.setattr(partitions, "_TABLES", tables._replace(spt=bumped))
-        else:
-            monkeypatch.setitem(partitions._COLUMNS, column, bumped)
+        monkeypatch.setitem(partitions._COLUMNS, column, bumped)
 
     return install
 

@@ -8,7 +8,6 @@ import shutil
 import subprocess
 import sys
 from fractions import Fraction
-from functools import partial
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,7 +24,6 @@ from qspt.series import LaurentSeries
 def isolated_cache(tmp_path, monkeypatch):
     # every qspt invocation is a fresh process: no file cache, no tables, no columns
     monkeypatch.setenv("QSPT_CACHE", str(tmp_path / "cache"))
-    monkeypatch.setattr(partitions, "_TABLES", None)
     monkeypatch.setattr(partitions, "_COLUMNS", {})
     return tmp_path
 
@@ -365,7 +363,7 @@ def test_table_prints_each_row_of_its_source(capsys, name):
     if name == "s":
         source = partitions.s_fn
     elif name == "c_formula":
-        source = partial(partitions.c_formula, tables=partitions.c_formula_tables(30))
+        source = dict(enumerate(partitions.c_formula(30, partitions.c_formula_tables(30)), 1)).get
     elif name == "ustar":
         source = partitions.stat_tables(30).ustar
     else:
@@ -380,7 +378,7 @@ def test_table_ustar_keeps_its_digest(capsys):
         "b55dfa8d40d4c89fd4174d24c7a39205fc901d57268f2ce98c83ee90f78229dd")
 
 
-# the sha256 of the stdout of each command, from an empty process table and file cache
+# the sha256 of the stdout of each command, from empty process columns and file cache
 DIGESTS = {
     "table --name p --max-n 2000":
         "be526f5bac9bbe04bf68ec79517699970260a7039b11a39b6009d40a0701383a",
@@ -609,7 +607,7 @@ def test_verify_fail_exit_one(capsys):
 # One fault for each check of cli.CHECKS: (the options it runs with, the fixture
 # that installs the fault and its arguments, the mismatch exponents, the count
 # compared, and the details that end in MISMATCH). Every table fault stays in the
-# 640 rows of the session tables, so no reader rebuilds them.
+# 640 rows of the session tables, so no reader re-solves a column.
 FAULTS = {
     # c(1) + 1 reaches the closed form through q dj/dq at every exponent from 23 on
     "thm1_1": (("--window", "240"), ("perturbed_j", 1), list(range(23, 240, 24)), 12, []),
@@ -748,7 +746,7 @@ def test_congruence_families_refuse_ell_three(capsys, argv):
     ("table", "--name", "c_formula", "--max-n", "1"),
 ], ids=" ".join)
 def test_smallest_requests_size_their_own_tables(capsys, argv):
-    # each starts from an empty process table (the autouse fixture)
+    # each starts from empty process columns (the autouse fixture)
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     if argv[0] == "verify":

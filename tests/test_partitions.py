@@ -116,14 +116,33 @@ def test_stat_tables_are_immutable_values(monkeypatch):
 
 
 def test_a_column_is_solved_again_only_past_its_end(monkeypatch):
-    solved = []
-    p_table = pt.p_table
+    # spt is solved by StatTables.build, one spt_table call each; p and a by their tables
+    solved, builds, tables = {"spt": [], "p": [], "a": []}, [], {}
+    build = pt.StatTables.build.__func__
+    monkeypatch.setattr(pt.StatTables, "build",
+                        classmethod(lambda cls, n: builds.append(n) or build(cls, n)))
+    for name in solved:
+        table = tables[name] = getattr(pt, name + "_table")
+        monkeypatch.setattr(pt, name + "_table",
+                            lambda n, name=name, table=table: solved[name].append(n) or table(n))
     monkeypatch.setattr(pt, "_COLUMNS", {})
-    monkeypatch.setattr(pt, "p_table", lambda n: solved.append(n) or p_table(n))
-    for n in (10, 4, 10, 30, 12):
-        assert pt.StatTables(n, ()).p[:n + 1] == tuple(p_table(n))
-    assert solved == [10, 30]
-    assert pt._COLUMNS == {"p": tuple(p_table(30))}
+    for name in solved:
+        for n in (10, 4, 10, 30, 12):
+            assert pt.column(name, n)[:n + 1] == tuple(tables[name](n))
+    assert solved == {"spt": [10, 30], "p": [10, 30], "a": [10, 30]} and builds == [10, 30]
+    assert pt._COLUMNS == {name: tuple(tables[name](30)) for name in solved}
+
+
+@pytest.mark.parametrize("name", ["spt", "p", "a"])
+def test_a_column_past_the_row_cap_is_refused_before_any_solve(monkeypatch, name):
+    solved = []
+    monkeypatch.setattr(pt, "_COLUMNS", {})
+    for solver in ("spt_table", "p_table", "a_table"):
+        monkeypatch.setattr(pt, solver, lambda n, solver=solver: solved.append(solver))
+    monkeypatch.setattr(pt.StatTables, "build", classmethod(lambda cls, n: solved.append(n)))
+    with pytest.raises(QsptError, match="^tables capped at row 125,000, 125,001 requested$"):
+        pt.column(name, pt.MAX_TABLE_ROW + 1)
+    assert solved == [] and pt._COLUMNS == {}
 
 
 def test_spt_bruteforce_matches_table():
@@ -351,9 +370,7 @@ def test_mplus_weight_is_zero_below_row_zero(tables):
 
 
 def test_c_formula_first_coefficients(tables):
-    assert pt.c_formula(1, tables) == 196884
-    assert pt.c_formula(2, tables) == 21493760
-    assert pt.c_formula(3, tables) == 864299970
+    assert pt.c_formula(3, tables) == [196884, 21493760, 864299970]
 
 
 def test_c1_c2_decompositions(tables):
@@ -480,7 +497,7 @@ def test_stat_tables_cap_admits_the_deepest_documented_request(monkeypatch):
         built.append(n)
         return cls(n, ())
 
-    monkeypatch.setattr(pt, "_TABLES", None)
+    monkeypatch.setattr(pt, "_COLUMNS", {})
     monkeypatch.setattr(pt.StatTables, "build", classmethod(fake_build))
     # congruences --ell 5 --m 3 reads row 124,349
     assert pt._congruence_rows("all", 200, 5, 3, "plus") == 124_349
