@@ -32,7 +32,7 @@ CACHE_TAG = f"qspt {__version__} cache 1"
 
 # The largest --prec of a series that reads no table (the table-backed mplus,
 # spt_gen24 and m_ell:<prime> meet the row cap instead). At 2,400 the slowest
-# such names take 21.1-21.5 s (r_ell:71) and 6.2-7.1 s (alpha, 21,736-bit
+# such names take 15.2-19.8 s (r_ell:71) and 6.2-7.1 s (alpha, 21,736-bit
 # coefficients) in fresh processes, Python 3.11.7 on a 2-vCPU VM.
 MAX_SERIES_PREC = 2400
 
@@ -145,9 +145,9 @@ def cmd_table(args) -> int:
     rows = range(1, max_n + 1)
     if name == "s":
         partitions.require_table_row(max_n)  # s reads no table, but its rows are capped too
-        column = map(partitions.s_fn, rows)
+        column = partitions.s_column(max_n)[1:]
     elif name == "c_formula":
-        column = partitions.c_formula(max_n, partitions.c_formula_tables(max_n))
+        column = partitions.c_formula(max_n)
     elif name == "ustar":
         column = map(partitions.stat_tables(max_n).ustar, rows)
     else:  # p, spt or a: the one column alone
@@ -162,8 +162,16 @@ def cmd_table(args) -> int:
 
 
 def _hecke(f):
-    """A Hecke check on ell; its window defaults to 4800 for ell = 5, 2400 for 7, 1200 otherwise."""
-    return lambda ell, window: f(HeckeContext(ell), window or {5: 4800, 7: 2400}.get(ell, 1200))
+    """A Hecke check on ell; its window defaults to 4800 for ell = 5, 2400 for 7 and 1200
+    otherwise, or to the largest multiple of 24 whose deepest row fits MAX_TABLE_ROW."""
+    def check(ell, window):
+        ctx = HeckeContext(ell)  # ell refused first, before any default is derived
+        if window is None:
+            window = {5: 4800, 7: 2400}.get(ell, 1200)
+            while partitions.mell_terms(ell, window // 24)[0][1] > partitions.MAX_TABLE_ROW:
+                window -= 24
+        return f(ctx, window)
+    return check
 
 
 _CONGRUENCES = {"ell": 5, "m": 1, "max_n": 200, "sign": "plus"}

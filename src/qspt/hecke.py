@@ -15,7 +15,7 @@ from .series import LaurentSeries
 
 
 # The largest delta_ell a HeckeContext admits, delta_71 = 210: thm1_1 --ell 71 --window 240
-# takes 9.9-10.6 s (fresh processes, Python 3.11.7 on a 2-vCPU VM), and the closed form
+# takes 7.3-9.5 s (fresh processes, Python 3.11.7 on a 2-vCPU VM), and the closed form
 # reads j to delta_ell terms at any window.
 MAX_DELTA = 210
 
@@ -105,13 +105,12 @@ def m_ell_closed_form(ctx: HeckeContext, P: int) -> LaurentSeries:
 
 def r_ell_series(ctx: HeckeContext, P: int) -> LaurentSeries:
     """The series q dj/dq(24 tau) * B_{delta_ell}(j(24 tau)) = sum r_ell(n) q^(24n),
-    read from one j: q dj/dq = -E4^2 E6/Delta is its derivative."""
-    nmax = -(-P // 24) + 2
-    delta = ctx.delta_ell
-    j = forms.j_series(nmax + delta + 4)
-    b = jbasis.b_polynomials(delta)[-1]
-    beval = jbasis.eval_at_series([b], j.stride_expand(24))[0].truncate(24 * (nmax + 2))
-    return (j.q_derive().truncate(nmax + delta + 2).stride_expand(24) * beval).truncate(P)
+    read from one j: q dj/dq = -E4^2 E6/Delta is its derivative. The product in q, stride
+    expanded once, is needed below q^ceil(P/24), so it reads j below
+    q^(ceil(P/24) + delta): B_delta has degree delta - 1 and valuation 1 - delta."""
+    j = forms.j_series(-(-P // 24) + ctx.delta_ell)
+    b = jbasis.b_polynomials(ctx.delta_ell)[-1]
+    return (j.q_derive() * jbasis.eval_at_series([b], j)[0]).stride_expand(24).truncate(P)
 
 
 def verify_thm11(ctx: HeckeContext, window: int) -> VerificationReport:

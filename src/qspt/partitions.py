@@ -292,28 +292,15 @@ def stat_tables(n: int) -> StatTables:
 # ----------------------------------------------------------------------
 # ingredients of the combinatorial c(n) formulas
 
-def s_fn(n: int) -> int:
-    """The sparse pentagonal-square term: contributions from
-    24n = (6k+1)^2 - 25 and 24n = (6k+1)^2 - 1; equals 2 at n = 1."""
-    if n < 1:
-        return 0
-    total = 0
-    for shift in (25, 1):
-        m = 24 * n + shift
-        r = _isqrt_exact(m)
-        if r is None:
-            continue
-        if r % 6 == 1:
-            k = (r - 1) // 6
-        else:
-            k = -(r + 1) // 6
-        total += 1 if k % 2 else -1
-    return total
-
-
-def _isqrt_exact(m: int) -> int | None:
-    r = math.isqrt(m)
-    return r if r * r == m else None
+def s_column(N: int) -> list[int]:
+    """[s(0), ..., s(N)], s(n) = -e(n) - e(n+1) with e(g) the pentagonal signs of (q;q)_inf:
+    the paper's sign sum over the k with 24n + 1 or 24n + 25 = (6k+1)^2, as
+    24n + 1 = (6k+1)^2 exactly when n = k(3k+1)/2. It is the share of M_5's principal
+    part, W(-1) = W(0) = -5, in c_formula's convolution; s(1) = 2."""
+    e = [0] * (N + 2)
+    for g, sign in pentagonal_terms(N + 2):
+        e[g] = sign
+    return [-e[n] - e[n + 1] for n in range(N + 1)]
 
 
 def mplus_parts(tables: StatTables, k: int) -> tuple[int, int]:
@@ -350,33 +337,26 @@ def mell_weight(tables: StatTables, ell: int, k: int) -> int:
     return sum(f * mplus_weight(tables, row) for f, row in terms)
 
 
-def c_formula_rows(max_n: int) -> int:
-    """The deepest table row c_formula(max_n, tables) reads: the first row of mell_terms(5, max_n)."""
-    return mell_terms(5, max_n)[0][1]
-
-
-def c_formula_tables(max_n: int) -> StatTables:
-    """The tables through the deepest row c_formula(max_n, tables) reads."""
-    return stat_tables(c_formula_rows(max_n))
-
-
-def c_formula(max_n: int, tables: StatTables) -> list[Fraction]:
-    """[c(1), ..., c(max_n)], where c(n) = (s(n) + sum_k (-1)^k (12/5) M_5[24n-(6k+1)^2])/n over
-    the k with (6k+1)^2 < 24n. As 24n-(6k+1)^2 = 24(n-g)-1 with g = k(3k+1)/2, the sum runs over
-    the terms (-1)^k q^g of (q;q)_inf with g < n. Each M_5 weight is read through mell_weight
-    once, for all n."""
-    w = [0] + [mell_weight(tables, 5, k) for k in range(1, max_n + 1)]
-    terms = pentagonal_terms(max_n)
-    return [Fraction(5 * s_fn(n) + sum(sign * w[n - g] for g, sign in
-                                       terms[:bisect_left(terms, (n,))]), 5 * n)
+def c_formula(max_n: int) -> list[Fraction]:
+    """[c(1), ..., c(max_n)] by Theorem 1.2, which is Theorem 1.1 at ell = 5: there
+    12 eta(24 tau) M_5 = 5 q dj/dq(24 tau), so 5n c(n) = sum e(g) W(n - g) over the terms
+    e(g) q^g of (q;q)_inf with g <= n + 1, with W(k) = mell_weight(tables, 5, k) from
+    k = -1. Its principal part W(-1) = W(0) = -5 carries the paper's s(n). Each weight is
+    read once, from the tables through the deepest row, which c_formula asks for."""
+    tables = stat_tables(mell_terms(5, max_n)[0][1])
+    w = [mell_weight(tables, 5, k) for k in range(-1, max_n + 1)]  # w[k + 1] = W(k)
+    terms = pentagonal_terms(max_n + 2)
+    return [Fraction(sum(sign * w[n + 1 - g]
+                         for g, sign in terms[:bisect_left(terms, (n + 2,))]), 5 * n)
             for n in range(1, max_n + 1)]
 
 
-def c1_c2_decompositions(tables: StatTables) -> list[str]:
+def c1_c2_decompositions() -> list[str]:
     """Itemized reconstruction of the displayed c(1) and c(2) splittings, first
     through spt, then again with the spt terms, which eq (17) writes as 2a - u*,
-    parenthesized; raises TableTooSmall short of c(2)'s rows."""
-    tables.require(c_formula_rows(2))
+    parenthesized."""
+    tables = stat_tables(mell_terms(5, 2)[0][1])  # c(2)'s deepest row, 49
+    _, s1, s2 = s_column(2)
     # c(1) = s(1) + w(1) and c(2) = (s(2) - w(1) + w(2))/2 with w(k) = mell_weight(tables, 5, k)/5,
     # each w(k) itemized as its mu_k M+ term and the spt and p parts of its top row
     items = []
@@ -389,11 +369,11 @@ def c1_c2_decompositions(tables: StatTables) -> list[str]:
     lines = []
     for fmt in ("{}", "({})"):
         f_spt, f_spt2 = fmt.format(t_spt), fmt.format(t_spt2)
-        lines += [f"c(1) = {s_fn(1)} + {t_mu} + {f_spt} + {t_p}"
-                  f" = {s_fn(1) + t_mu + t_spt + t_p}",
-                  f"c(2) = (1/2)({s_fn(2)} - {t_mu} + {t_mu2} - {f_spt} - {t_p}"
+        lines += [f"c(1) = {s1} + {t_mu} + {f_spt} + {t_p}"
+                  f" = {s1 + t_mu + t_spt + t_p}",
+                  f"c(2) = (1/2)({s2} - {t_mu} + {t_mu2} - {f_spt} - {t_p}"
                   f" + {f_spt2} + {t_p2})"
-                  f" = {(s_fn(2) - t_mu + t_mu2 - t_spt - t_p + t_spt2 + t_p2) / 2}"]
+                  f" = {(s2 - t_mu + t_mu2 - t_spt - t_p + t_spt2 + t_p2) / 2}"]
     return lines
 
 

@@ -49,7 +49,7 @@ def convolve(a: list[int], b: list[int], n_out: int) -> list[int]:
                     break
                 out[k] += ai * bj
         return out
-    return _kron_mul(a, b, n_out)
+    return _kron_mul(a[:n_out], b[:n_out], n_out)
 
 
 def _bias(n: int, nbytes: int) -> int:

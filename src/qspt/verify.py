@@ -10,20 +10,20 @@ from .report import VerificationReport
 from .series import LaurentSeries
 
 
-def _c_formula_against_j(check: str, max_n: int,
-                         tables: partitions.StatTables) -> VerificationReport:
-    """c(n) from the M_5 partition formula on tables against the j-expansion, n <= max_n."""
+def _c_formula_against_j(check: str, max_n: int) -> VerificationReport:
+    """c(n) from the M_5 partition formula against the j-expansion, n <= max_n."""
     rep = VerificationReport(check=check, parameters={"max_n": max_n},
                              window=(1, max_n + 1))
+    cs = partitions.c_formula(max_n)  # first: a max_n past the row cap builds no j
     j = forms.j_series(max_n + 1)
-    for n, c in enumerate(partitions.c_formula(max_n, tables), 1):
+    for n, c in enumerate(cs, 1):
         rep.record(n, c, j.coeff(n))
     return rep
 
 
 def verify_thm1_2(max_n: int) -> VerificationReport:
     """c(n) from the M_5 partition formula against the j-expansion."""
-    return _c_formula_against_j("thm1_2", max_n, partitions.c_formula_tables(max_n))
+    return _c_formula_against_j("thm1_2", max_n)
 
 
 def verify_thm1_3(max_n: int) -> VerificationReport:
@@ -54,9 +54,8 @@ def verify_eq17(max_n: int) -> VerificationReport:
 def verify_cor1_5(max_n: int) -> VerificationReport:
     """The c(n) formula, its spt terms 2a - u* by eq (17), against c(n), with the
     displayed c(1), c(2) decompositions itemized."""
-    tables = partitions.c_formula_tables(max(max_n, 2))  # the c(2) splitting reads c(2)'s rows
-    rep = _c_formula_against_j("cor1_5", max_n, tables)
-    rep.details.extend(partitions.c1_c2_decompositions(tables))
+    rep = _c_formula_against_j("cor1_5", max_n)
+    rep.details.extend(partitions.c1_c2_decompositions())
     return rep
 
 

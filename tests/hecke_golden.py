@@ -4,7 +4,8 @@ thm1_1 reports at ell = 23 and 47, window 240. The digests are in
 hecke_digests.json beside this file.
 
 test_hecke.py checks every digest with ell <= 47. The deeper primes take about
-a minute by Horner's scheme, so they run as a script:
+a minute, nearly all of it building B_delta(j) from a table of powers of j, so
+they run as a script:
 
     PYTHONPATH=src python tests/hecke_golden.py 53 71
 

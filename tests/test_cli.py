@@ -361,9 +361,9 @@ def test_table_prints_each_row_of_its_source(capsys, name):
     code, out, _ = run(capsys, "table", "--name", name, "--max-n", "30")
     assert code == 0
     if name == "s":
-        source = partitions.s_fn
+        source = partitions.s_column(30).__getitem__
     elif name == "c_formula":
-        source = dict(enumerate(partitions.c_formula(30, partitions.c_formula_tables(30)), 1)).get
+        source = dict(enumerate(partitions.c_formula(30), 1)).get
     elif name == "ustar":
         source = partitions.stat_tables(30).ustar
     else:
@@ -489,6 +489,25 @@ def test_hecke_paths_refuse_ell_past_71_at_once(capsys, counted, monkeypatch, ar
     assert (code, out) == (2, "")
     assert err == f"error: ell capped at delta_ell = (ell^2 - 1)/24 <= 210 (ell <= 71), got {ell}\n"
     assert counted["builds"] == [] and reached == []
+
+
+# the default windows cut below 1200, where ell^2 * 50 - delta_ell passes MAX_TABLE_ROW
+_CUT_WINDOWS = {53: 1056, 59: 840, 61: 792, 67: 648, 71: 576}
+
+
+def test_hecke_default_windows_fit_the_row_cap(monkeypatch, counted):
+    # a stub verifier behind cli.CHECKS returns the window it is handed and solves nothing
+    _, defaults = cli.CHECKS["thm1_1"]
+    monkeypatch.setitem(cli.CHECKS, "thm1_1", (cli._hecke(lambda ctx, window: window), defaults))
+    for ell in filter(arith.is_prime, range(5, 72)):
+        window = cli.run_check("thm1_1", ell=ell)
+        assert window == _CUT_WINDOWS.get(ell, {5: 4800, 7: 2400}.get(ell, 1200))
+        assert window % 24 == 0
+        assert partitions.mell_terms(ell, window // 24)[0][1] <= partitions.MAX_TABLE_ROW
+        if ell in _CUT_WINDOWS:  # the largest multiple of 24 that fits
+            assert partitions.mell_terms(ell, window // 24 + 1)[0][1] > partitions.MAX_TABLE_ROW
+        assert cli.run_check("thm1_1", ell=ell, window=2400) == 2400
+    assert counted == {"builds": [], "oracle": 0, "p": [], "a": []}
 
 
 @pytest.mark.parametrize("argv, exponent, ell", [

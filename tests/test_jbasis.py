@@ -67,6 +67,24 @@ def test_faber_generating_identity_at_sample_points():
         assert lhs.truncate(M - 1) == d.truncate(M - 1)
 
 
+def test_b_polynomials_are_alpha_sums_of_faber_polynomials():
+    # B_m(j) = alpha q^-m + O(q) and J_n(j) = q^-n + O(q) with alpha = sum alpha(k) q^k,
+    # alpha(0) = 0, so B_m - sum_{n<m} alpha(m-n) J_n is a polynomial in j that is O(q),
+    # hence zero: an identity of integer tuples, beyond the evaluated series below q^1
+    M = 30
+    bs = jbasis.b_polynomials(M)
+    fs = jbasis.faber_polynomials(M)
+    alpha = forms.alpha_series(M + 1)
+    assert alpha.coeff(0) == 0 and alpha.coeff(1) == 1
+    for m in range(1, M + 1):
+        total = [0] * m
+        for n in range(m):
+            a = alpha.coeff(m - n)
+            for i, c in enumerate(fs[n]):
+                total[i] += a * c
+        assert bs[m - 1] == tuple(total)
+
+
 def test_eval_at_j24():
     b2 = jbasis.b_polynomials(2)[1]
     f = jbasis.eval_at_j24(b2, 30)

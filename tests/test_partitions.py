@@ -323,21 +323,23 @@ def test_tables_require(tables):
         tables.require(tables.limit + 1)
 
 
-def test_s_fn_values():
-    assert pt.s_fn(1) == 2
-    # both square conditions hold together only at n = 1
+def test_s_column_is_the_papers_square_sum():
+    # the paper's s(n): a sign -(-1)^k for each of 24n + 25 and 24n + 1 that is a square
+    # (6k+1)^2, k of either sign; both square conditions hold together only at n = 1
     import math
-    for n in range(2, 10 ** 5):
-        hits = 0
+    s = pt.s_column(10 ** 5 - 1)
+    assert s[0] == 0 and s[1] == 2
+    for n in range(1, 10 ** 5):
+        hits, paper = 0, 0
         for shift in (25, 1):
             r = math.isqrt(24 * n + shift)
             if r * r == 24 * n + shift:
-                hits += 1
-        assert hits <= 1
-        assert pt.s_fn(n) in (-1, 0, 1)
-    assert pt.s_fn(2) == 1   # 24*2+1 = 49 = (6*1+1)^2, odd k
-    assert pt.s_fn(5) == -1  # 24*5+1 = 121 = (6*(-2)+1)^2, even k
-    assert pt.s_fn(0) == 0
+                k = (r - 1) // 6 if r % 6 == 1 else -(r + 1) // 6
+                hits, paper = hits + 1, paper + (1 if k % 2 else -1)
+        assert s[n] == paper
+        assert n == 1 or hits <= 1
+    assert s[2] == 1   # 24*2+1 = 49 = (6*1+1)^2, odd k
+    assert s[5] == -1  # 24*5+1 = 121 = (6*(-2)+1)^2, even k
 
 
 def test_mu_values():
@@ -369,21 +371,17 @@ def test_mplus_weight_is_zero_below_row_zero(tables):
     assert pt.mplus_weight(tables, 0) == -1
 
 
-def test_c_formula_first_coefficients(tables):
-    assert pt.c_formula(3, tables) == [196884, 21493760, 864299970]
+def test_c_formula_first_coefficients():
+    assert pt.c_formula(3) == [196884, 21493760, 864299970]
 
 
-def test_c1_c2_decompositions(tables):
-    lines = pt.c1_c2_decompositions(tables)
+def test_c1_c2_decompositions():
+    lines = pt.c1_c2_decompositions()
     assert "2 + 49 + 15708 + 181125" in lines[0]
     assert lines[0].endswith("= 196884")
     assert lines[1].endswith("= 21493760")
     assert lines[2].endswith("= 196884")
     assert lines[3].endswith("= 21493760")
-    # c(2)'s splitting reads row 25 * 2 - 1 = 49, and a shorter table is refused
-    assert pt.c1_c2_decompositions(pt.StatTables.build(49)) == lines
-    with pytest.raises(TableTooSmall):
-        pt.c1_c2_decompositions(pt.StatTables.build(48))
 
 
 def test_spt_family_instances():

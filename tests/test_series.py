@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import qspt.series
 from qspt.errors import LeadingZero, OutOfPrecision
 from qspt.report import VerificationReport
 from qspt.series import LaurentSeries, _kron_mul, convolve
@@ -506,3 +507,25 @@ def test_kronecker_matches_schoolbook():
             for n in (1, full - 1, full, full + 5):
                 assert _kron_mul(a, b, n) == school[:n]
                 assert convolve(a, b, n) == school[:n]
+
+
+def test_convolve_reads_only_the_coefficients_it_outputs(monkeypatch):
+    # a long operand by a short one, past the schoolbook cutoff: the Kronecker path is
+    # handed each operand cut to the n_out coefficients it outputs
+    rng = random.Random(11)
+    a = [rng.randrange(-10 ** 9, 10 ** 9) for _ in range(5000)]
+    b = [rng.randrange(-10 ** 9, 10 ** 9) for _ in range(300)]
+    n = 400
+    school = [0] * n
+    for i, x in enumerate(a[:n]):
+        for j, y in enumerate(b[:n - i]):
+            school[i + j] += x * y
+    handed = []
+
+    def spy(x, y, n_out):
+        handed.append((len(x), len(y)))
+        return _kron_mul(x, y, n_out)
+
+    monkeypatch.setattr(qspt.series, "_kron_mul", spy)
+    assert convolve(a, b, n) == convolve(a[:n], b, n) == school
+    assert handed == [(n, len(b)), (n, len(b))]
