@@ -149,7 +149,7 @@ def cmd_table(args) -> int:
     elif name == "c_formula":
         column = partitions.c_formula(max_n)
     elif name == "ustar":
-        column = map(partitions.stat_tables(max_n).ustar, rows)
+        column = partitions.ustar_column(max_n)[1:]
     else:  # p, spt or a: the one column alone
         column = partitions.column(name, max_n)[1:max_n + 1]
     values = list(zip(rows, column))
@@ -214,8 +214,8 @@ def cmd_verify(args) -> int:
 
 
 def _positive(text: str) -> int:
-    """argparse type for --prec, --max-n, --window and --m: an integer >= 1."""
-    if not text.isdecimal() or int(text) < 1:
+    """argparse type for every number option: an integer >= 1 in ASCII digits."""
+    if not (text.isascii() and text.isdecimal()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 
@@ -240,7 +240,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run a verification check")
     ver.add_argument("check", choices=CHECKS)
-    ver.add_argument("--ell", type=int)
+    ver.add_argument("--ell", type=_positive)
     ver.add_argument("--m", type=_positive)
     ver.add_argument("--max-n", type=_positive)
     ver.add_argument("--window", type=_positive)

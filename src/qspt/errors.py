@@ -17,10 +17,6 @@ class EnumerationLimit(QsptError):
     """A brute-force enumeration was requested beyond its guard."""
 
 
-class TableTooSmall(QsptError):
-    """A statistic table does not reach the index required by the computation."""
-
-
 class BadSupport(QsptError):
     """A series is not supported on the arithmetic progression an operator requires."""
 

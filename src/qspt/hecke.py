@@ -9,7 +9,7 @@ from typing import NamedTuple
 from . import forms, jbasis
 from .arith import legendre, require_hecke_prime, to_decimal
 from .errors import BadSupport, QsptError
-from .partitions import _over_euler, column, mell_terms, mell_weight, mplus_weight, stat_tables
+from .partitions import _over_euler, column, mell_weights, mplus_weight
 from .report import VerificationReport
 from .series import LaurentSeries
 
@@ -51,9 +51,8 @@ def spt_gen24(P: int) -> LaurentSeries:
 def m_plus(P: int) -> LaurentSeries:
     """Holomorphic part of the weight-3/2 mock modular form:
     S(q) + (1/12) q d/dq P(q) = -1/12 q^-1 + sum [spt(n) + (24n-1)/12 p(n)] q^(24n-1)."""
-    nmax = P // 24
-    tables = stat_tables(nmax)
-    return LaurentSeries(24, 23, -1, P, [mplus_weight(tables, n) for n in range(nmax + 1)], 12)
+    ws = [mplus_weight(n) for n in range(P // 24, -1, -1)]  # the deepest row first
+    return LaurentSeries(24, 23, -1, P, ws[::-1], 12)
 
 
 def hecke_t(f: LaurentSeries, ctx: HeckeContext) -> LaurentSeries:
@@ -86,11 +85,8 @@ def hecke_t(f: LaurentSeries, ctx: HeckeContext) -> LaurentSeries:
 
 def m_ell(ctx: HeckeContext, P: int) -> LaurentSeries:
     """M_ell = M+ | T(ell^2) - (3|ell)(1+ell) M+ below q^P, read from the tables through
-    partitions.mell_weight; hecke_t applied to m_plus gives the same series."""
-    ell, delta, kmax = ctx.ell, ctx.delta_ell, P // 24
-    tables = stat_tables(max(mell_terms(ell, kmax)[0][1], 0))  # the deepest row read
-    cs = [mell_weight(tables, ell, k) for k in range(-delta, kmax + 1)]
-    return LaurentSeries(24, 23, -ell * ell, P, cs, 12)
+    partitions.mell_weights; hecke_t applied to m_plus gives the same series."""
+    return LaurentSeries(24, 23, -ctx.ell ** 2, P, mell_weights(ctx.ell, P // 24), 12)
 
 
 def m_ell_closed_form(ctx: HeckeContext, P: int) -> LaurentSeries:

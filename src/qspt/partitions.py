@@ -17,7 +17,7 @@ from operator import add, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .arith import euler_criterion, legendre, require_hecke_prime, to_decimal
-from .errors import EnumerationLimit, QsptError, TableTooSmall, UnknownCheck
+from .errors import EnumerationLimit, QsptError, UnknownCheck
 from .report import VerificationReport
 
 _ENUM_GUARDS = {"spt": 60, "partition": 2000, "unimodal": 40}
@@ -235,8 +235,7 @@ def ustar_bruteforce(N: int) -> list[int]:
 # tables
 
 class StatTables(NamedTuple):
-    """The tables up to a limit: an spt column, with p and a read through the limit
-    from the process's columns; u* is read from them."""
+    """An spt column solved through a limit: the record of one spt solve."""
 
     limit: int
     spt: tuple[int, ...]
@@ -244,17 +243,6 @@ class StatTables(NamedTuple):
     @classmethod
     def build(cls, N: int) -> "StatTables":
         return cls(N, tuple(spt_table(N)))
-
-    p = property(lambda self: column("p", self.limit))
-    a = property(lambda self: column("a", self.limit))
-
-    def require(self, n: int) -> None:
-        if n > self.limit:
-            raise TableTooSmall(f"tables built to {self.limit}, need {n}")
-
-    def ustar(self, n: int) -> int:
-        """u*(n) = -spt(n) + 2a(n), eq (17)."""
-        return 2 * self.a[n] - self.spt[n]
 
 
 _COLUMNS: dict[str, tuple[int, ...]] = {}  # "spt", "p" and "a", each as deep as its deepest reader
@@ -283,10 +271,10 @@ def require_table_row(n: int) -> None:
         raise QsptError(f"tables capped at row {MAX_TABLE_ROW:,}, {Decimal(n):,} requested")
 
 
-def stat_tables(n: int) -> StatTables:
-    """The tables with limit n, a view of the process's columns. Each reader asks for
-    the largest index it reads, so no caller sizes tables."""
-    return StatTables(n, column("spt", n))
+def ustar_column(N: int) -> list[int]:
+    """[u*(0), ..., u*(N)] by eq (17): u*(n) = 2a(n) - spt(n)."""
+    spt, a = column("spt", N), column("a", N)
+    return [2 * a[n] - spt[n] for n in range(N + 1)]
 
 
 # ----------------------------------------------------------------------
@@ -303,20 +291,20 @@ def s_column(N: int) -> list[int]:
     return [-e[n] - e[n + 1] for n in range(N + 1)]
 
 
-def mplus_parts(tables: StatTables, k: int) -> tuple[int, int]:
+def mplus_parts(k: int) -> tuple[int, int]:
     """12 spt(k) and (24k-1) p(k), whose sum is mplus_weight; zeros for k < 0."""
     if k < 0:
         return 0, 0
-    return 12 * tables.spt[k], (24 * k - 1) * tables.p[k]
+    return 12 * column("spt", k)[k], (24 * k - 1) * column("p", k)[k]
 
 
-def mplus_weight(tables: StatTables, k: int) -> int:
+def mplus_weight(k: int) -> int:
     """Twelve times the coefficient of q^(24k-1) in M+, 0 for k < 0."""
-    return sum(mplus_parts(tables, k))
+    return sum(mplus_parts(k))
 
 
 def mell_terms(ell: int, k: int) -> list[tuple[int, int]]:
-    """(factor, row) pairs with mell_weight(tables, ell, k) = sum factor * mplus_weight(tables, row).
+    """(factor, row) pairs with mell_weight(ell, k) = sum factor * mplus_weight(row).
 
     M_ell = M+ | T(ell^2) - (3|ell)(1+ell) M+, where T(ell^2) sends a(m) to
     a(ell^2 m) + (3|ell)(-m|ell) a(m) + ell a(m/ell^2). At m = 24k-1, the first row is the
@@ -330,21 +318,26 @@ def mell_terms(ell: int, k: int) -> list[tuple[int, int]]:
     return terms
 
 
-def mell_weight(tables: StatTables, ell: int, k: int) -> int:
-    """Twelve times the coefficient of q^(24k-1) in M_ell; raises TableTooSmall short of its rows."""
-    terms = mell_terms(ell, k)
-    tables.require(terms[0][1])
-    return sum(f * mplus_weight(tables, row) for f, row in terms)
+def mell_weight(ell: int, k: int) -> int:
+    """Twelve times the coefficient of q^(24k-1) in M_ell."""
+    return sum(f * mplus_weight(row) for f, row in mell_terms(ell, k))
+
+
+def mell_weights(ell: int, kmax: int) -> list[int]:
+    """[W(-delta), ..., W(kmax)] with W(k) = mell_weight(ell, k) and delta = (ell^2 - 1)/24,
+    read from W(kmax) down: its rows are the deepest that any W(k) reads, so each
+    column is solved once."""
+    delta = (ell * ell - 1) // 24
+    return [mell_weight(ell, k) for k in range(kmax, -delta - 1, -1)][::-1]
 
 
 def c_formula(max_n: int) -> list[Fraction]:
     """[c(1), ..., c(max_n)] by Theorem 1.2, which is Theorem 1.1 at ell = 5: there
     12 eta(24 tau) M_5 = 5 q dj/dq(24 tau), so 5n c(n) = sum e(g) W(n - g) over the terms
-    e(g) q^g of (q;q)_inf with g <= n + 1, with W(k) = mell_weight(tables, 5, k) from
-    k = -1. Its principal part W(-1) = W(0) = -5 carries the paper's s(n). Each weight is
-    read once, from the tables through the deepest row, which c_formula asks for."""
-    tables = stat_tables(mell_terms(5, max_n)[0][1])
-    w = [mell_weight(tables, 5, k) for k in range(-1, max_n + 1)]  # w[k + 1] = W(k)
+    e(g) q^g of (q;q)_inf with g <= n + 1, with W(k) = mell_weight(5, k) from k = -1.
+    Its principal part W(-1) = W(0) = -5 carries the paper's s(n). Each weight is read
+    once, by mell_weights."""
+    w = mell_weights(5, max_n)  # w[k + 1] = W(k)
     terms = pentagonal_terms(max_n + 2)
     return [Fraction(sum(sign * w[n + 1 - g]
                          for g, sign in terms[:bisect_left(terms, (n + 2,))]), 5 * n)
@@ -355,17 +348,17 @@ def c1_c2_decompositions() -> list[str]:
     """Itemized reconstruction of the displayed c(1) and c(2) splittings, first
     through spt, then again with the spt terms, which eq (17) writes as 2a - u*,
     parenthesized."""
-    tables = stat_tables(mell_terms(5, 2)[0][1])  # c(2)'s deepest row, 49
     _, s1, s2 = s_column(2)
-    # c(1) = s(1) + w(1) and c(2) = (s(2) - w(1) + w(2))/2 with w(k) = mell_weight(tables, 5, k)/5,
-    # each w(k) itemized as its mu_k M+ term and the spt and p parts of its top row
+    # c(1) = s(1) + w(1) and c(2) = (s(2) - w(1) + w(2))/2 with w(k) = mell_weight(5, k)/5,
+    # each w(k) itemized as its mu_k M+ term and the spt and p parts of its top row; c(2)'s
+    # top row, 49, is read first, as the deepest
     items = []
-    for k in (1, 2):
+    for k in (2, 1):
         (_, top), (mu_k, row) = mell_terms(5, k)  # no third term: 25 divides neither 23 nor 47
-        t_mu = Fraction(mu_k * mplus_weight(tables, row), 5)
-        t_spt, t_p = (Fraction(x, 5) for x in mplus_parts(tables, top))
+        t_spt, t_p = (Fraction(x, 5) for x in mplus_parts(top))
+        t_mu = Fraction(mu_k * mplus_weight(row), 5)
         items.append((t_mu, t_spt, t_p))
-    (t_mu, t_spt, t_p), (t_mu2, t_spt2, t_p2) = items
+    (t_mu2, t_spt2, t_p2), (t_mu, t_spt, t_p) = items
     lines = []
     for fmt in ("{}", "({})"):
         f_spt, f_spt2 = fmt.format(t_spt), fmt.format(t_spt2)

@@ -44,10 +44,10 @@ def verify_eq17(max_n: int) -> VerificationReport:
     partitions.enumeration_guard("unimodal", max_n)
     rep = VerificationReport(check="eq17", parameters={"max_n": max_n},
                              window=(1, max_n + 1))
-    tables = partitions.stat_tables(max_n)
+    by_eq17 = partitions.ustar_column(max_n)
     ustar = partitions.ustar_bruteforce(max_n)
     for n in range(1, max_n + 1):
-        rep.record(n, ustar[n], tables.ustar(n))
+        rep.record(n, ustar[n], by_eq17[n])
     return rep
 
 

@@ -21,7 +21,7 @@ def perturbed(tables, monkeypatch):
     none re-solves a column and drops the corruption."""
 
     def install(column, index, delta=1):
-        col = getattr(tables, column)
+        col = partitions.column(column, tables.limit)
         bumped = col[:index] + (col[index] + delta,) + col[index + 1:]
         monkeypatch.setitem(partitions._COLUMNS, column, bumped)
 

@@ -100,8 +100,7 @@ def test_criterion_06_signed_weight_sum(_line):
 
 def test_criterion_07_unimodal_rank_count(_line):
     rep = verify.verify_eq17(max_n=30)
-    ustar = partitions.stat_tables(6).ustar
-    ok = rep.passed and [ustar(n) for n in range(1, 7)] == [1, 1, -1, 0, -2, 2]
+    ok = rep.passed and partitions.ustar_column(6)[1:] == [1, 1, -1, 0, -2, 2]
     _line(7, ok, "u*(n) enumeration equals -spt + 2a for n <= 30")
     assert ok, rep.mismatches[:3]
 

@@ -333,6 +333,9 @@ def test_series_name_resolved_before_cache(capsys):
     ("verify", "thm1_2", "--max-n", "-4"),
     ("verify", "thm1_1", "--window", "-24"),
     ("verify", "congruences", "--m", "0"),
+    # ASCII digits alone: no underscore grouping, no full-width digits
+    ("verify", "thm1_1", "--ell", "7_1", "--window", "24"),
+    ("verify", "thm1_1", "--ell", "7", "--window", "\uff12\uff14"),
 ])
 def test_non_positive_arguments_exit_two(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -365,9 +368,9 @@ def test_table_prints_each_row_of_its_source(capsys, name):
     elif name == "c_formula":
         source = dict(enumerate(partitions.c_formula(30), 1)).get
     elif name == "ustar":
-        source = partitions.stat_tables(30).ustar
+        source = partitions.ustar_column(30).__getitem__
     else:
-        source = getattr(partitions.stat_tables(30), name).__getitem__
+        source = partitions.column(name, 30).__getitem__
     assert out.splitlines() == ["n,value"] + [f"{n},{source(n)}" for n in range(1, 31)]
 
 
@@ -751,25 +754,36 @@ def test_congruence_families_refuse_ell_three(capsys, argv):
     assert err == "error: ell must be a prime >= 5, got 3\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ("verify", "cor1_5", "--max-n", "1"),
-    ("verify", "thm1_2", "--max-n", "1"),
-    ("verify", "congruences", "--max-n", "1"),
-    ("verify", "thm1_1", "--ell", "5", "--window", "1"),
-    ("verify", "thm1_1", "--ell", "13", "--window", "1"),
-    ("verify", "eq9_mod_ell", "--ell", "5", "--window", "1"),
-    ("verify", "eq9_mod_ell", "--ell", "13", "--window", "1"),
-    ("series", "--name", "mplus", "--prec", "1"),
-    ("series", "--name", "spt_gen24", "--prec", "1"),
-    ("series", "--name", "m_ell:5", "--prec", "1"),
-    ("table", "--name", "c_formula", "--max-n", "1"),
-], ids=" ".join)
-def test_smallest_requests_size_their_own_tables(capsys, argv):
-    # each starts from empty process columns (the autouse fixture)
+# Each request from empty process columns (the autouse fixture), and the rows it solves
+# spt, p and a to: every column at most once, at the deepest row its reader reads.
+_SOLVES = [
+    (("verify", "cor1_5", "--max-n", "1"), ([24, 49], [24, 49], [])),  # c(1), then c(2)'s row 49
+    (("verify", "thm1_2", "--max-n", "1"), ([24], [24], [])),
+    (("verify", "congruences", "--max-n", "1"), ([19], [], [])),
+    (("verify", "thm1_1", "--ell", "5", "--window", "1"), ([0], [0], [])),
+    (("verify", "thm1_1", "--ell", "13", "--window", "1"), ([0], [0], [])),
+    (("verify", "eq9_mod_ell", "--ell", "5", "--window", "1"), ([0], [0], [])),
+    (("verify", "eq9_mod_ell", "--ell", "13", "--window", "1"), ([0], [0], [])),
+    (("series", "--name", "mplus", "--prec", "1"), ([0], [0], [])),
+    (("series", "--name", "spt_gen24", "--prec", "1"), ([0], [], [])),
+    (("series", "--name", "m_ell:5", "--prec", "1"), ([0], [0], [])),
+    (("table", "--name", "c_formula", "--max-n", "1"), ([24], [24], [])),
+    (("series", "--name", "mplus", "--prec", "2400"), ([100], [100], [])),
+    (("series", "--name", "m_ell:11", "--prec", "480"), ([2415], [2415], [])),
+    (("series", "--name", "m_ell:71", "--prec", "576"), ([120774], [120774], [])),
+    (("verify", "thm1_2"), ([499], [499], [])),
+    (("verify", "eq17"), ([30], [], [30])),
+    (("table", "--name", "ustar", "--max-n", "30"), ([30], [], [30])),
+]
+
+
+@pytest.mark.parametrize("argv, solves", _SOLVES, ids=[" ".join(argv) for argv, _ in _SOLVES])
+def test_smallest_requests_size_their_own_tables(capsys, counted, argv, solves):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     if argv[0] == "verify":
         assert json.loads(out)["status"] == "pass"
+    assert (counted["builds"], counted["p"], counted["a"]) == solves
 
 
 def test_verify_thm1_1_small_window(capsys):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from qspt import arith, forms
 from qspt import partitions as pt
-from qspt.errors import EnumerationLimit, QsptError, TableTooSmall, UnknownCheck
+from qspt.errors import EnumerationLimit, QsptError, UnknownCheck
 from qspt.series import LaurentSeries, convolve
 
 
@@ -107,10 +107,7 @@ def test_stat_tables_are_immutable_values(monkeypatch):
     assert t == pt.StatTables.build(3) and hash(t) == hash(pt.StatTables.build(3))
     assert t != pt.StatTables.build(4)
     assert repr(t) == "StatTables(limit=3, spt=(0, 1, 3, 5))"
-    # p and a are solved through the limit when first read
-    assert (t.p, t.a) == ((1, 1, 2, 3), (0, 1, 2, 2))
-    assert [t.ustar(n) for n in range(4)] == [0, 1, 1, -1]
-    for attr in ("p", "spt", "a", "other"):
+    for attr in ("limit", "spt", "other"):
         with pytest.raises(AttributeError):
             setattr(t, attr, ())
 
@@ -252,12 +249,12 @@ def test_ts_sum_enumeration_guard():
         pt.ts_sum_bruteforce(2001)
 
 
-def test_ustar_values(tables):
-    assert [tables.ustar(n) for n in range(1, 7)] == [1, 1, -1, 0, -2, 2]
+def test_ustar_values():
+    assert pt.ustar_column(6)[1:] == [1, 1, -1, 0, -2, 2]
 
 
-def test_ustar_bruteforce_matches(tables):
-    assert pt.ustar_bruteforce(18) == [tables.ustar(n) for n in range(19)]
+def test_ustar_bruteforce_matches():
+    assert pt.ustar_bruteforce(18) == pt.ustar_column(18)
 
 
 def _runs(total, maxpart):
@@ -309,18 +306,12 @@ def test_ustar_matches_unimodal_rank_series(tables):
         u[k + 1:] = [x + y for x, y in zip(u[k + 1:], sq)]
         for _ in range(2):  # times (1 - q^(k+1))
             sq[k + 1:] = [x - y for x, y in zip(sq[k + 1:], sq)]
-    assert [tables.ustar(n) for n in range(N + 1)] == u
+    assert pt.ustar_column(N) == u
 
 
 def test_ustar_enumeration_guard():
     with pytest.raises(EnumerationLimit):
         pt.ustar_bruteforce(41)
-
-
-def test_tables_require(tables):
-    tables.require(tables.limit)
-    with pytest.raises(TableTooSmall):
-        tables.require(tables.limit + 1)
 
 
 def test_s_column_is_the_papers_square_sum():
@@ -353,22 +344,22 @@ _M5_WEIGHTS = {1: 984410, 2: 215922005, 3: 13181405965,
                24: 6359461179835101566210937465}
 
 
-def test_h_weights(tables):
-    assert {k: pt.mell_weight(tables, 5, k) for k in _M5_WEIGHTS} == _M5_WEIGHTS
+def test_h_weights():
+    assert {k: pt.mell_weight(5, k) for k in _M5_WEIGHTS} == _M5_WEIGHTS
 
 
-def test_mell_weight_short_table_raises(tables):
-    # k = 25 at ell = 5 reads row 624 of the 640; k = 26 reads row 649
-    assert pt.mell_weight(tables, 5, 25) % 5 == 0
-    with pytest.raises(TableTooSmall):
-        pt.mell_weight(tables, 5, 26)
-    with pytest.raises(TableTooSmall):
-        pt.mell_weight(tables, 7, 14)  # 49 * 14 - 2 = 684
+def test_mell_weight_solves_the_rows_it_reads(monkeypatch):
+    # from empty columns: k = 25 at ell = 5 reads row 624, k = 26 row 649, and ell = 7,
+    # k = 14 row 49 * 14 - 2 = 684; every coefficient of 12 M_ell lies in ell Z (eq (9))
+    monkeypatch.setattr(pt, "_COLUMNS", {})
+    assert pt.mell_weight(5, 25) % 5 == 0
+    assert pt.mell_weight(5, 26) % 5 == 0
+    assert pt.mell_weight(7, 14) % 7 == 0
 
 
-def test_mplus_weight_is_zero_below_row_zero(tables):
-    assert pt.mplus_weight(tables, -1) == 0
-    assert pt.mplus_weight(tables, 0) == -1
+def test_mplus_weight_is_zero_below_row_zero():
+    assert pt.mplus_weight(-1) == 0
+    assert pt.mplus_weight(0) == -1
 
 
 def test_c_formula_first_coefficients():
@@ -488,7 +479,7 @@ def test_congruence_reports_keep_their_digest():
         "d1f87a73a534beb2278e9b426c3722f1598d8b4ab8bf92db697dbbae5ee1def1")
 
 
-def test_stat_tables_cap_admits_the_deepest_documented_request(monkeypatch):
+def test_the_row_cap_admits_the_deepest_documented_request(monkeypatch):
     built = []
 
     def fake_build(cls, n):
@@ -499,8 +490,8 @@ def test_stat_tables_cap_admits_the_deepest_documented_request(monkeypatch):
     monkeypatch.setattr(pt.StatTables, "build", classmethod(fake_build))
     # congruences --ell 5 --m 3 reads row 124,349
     assert pt._congruence_rows("all", 200, 5, 3, "plus") == 124_349
-    assert pt.stat_tables(124_349).limit == 124_349
-    assert pt.stat_tables(pt.MAX_TABLE_ROW).limit == 125_000
+    pt.column("spt", 124_349)
+    pt.column("spt", pt.MAX_TABLE_ROW)
     with pytest.raises(QsptError, match="tables capped at row 125,000, 125,001 requested"):
-        pt.stat_tables(125_001)
+        pt.column("spt", 125_001)
     assert built == [124_349, 125_000]
