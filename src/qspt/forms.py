@@ -8,7 +8,7 @@ from typing import Sequence
 
 from .errors import QsptError
 from .partitions import column, pentagonal_terms, triangular_terms
-from .series import LaurentSeries
+from .series import LaurentSeries, _pp_count
 
 
 def euler_series(P: int) -> LaurentSeries:
@@ -21,8 +21,7 @@ def euler_series(P: int) -> LaurentSeries:
 
 def eta24_series(P: int) -> LaurentSeries:
     """eta(24 tau) = q * (q^24; q^24)_inf, a stride-24 offset-1 series."""
-    n = max(0, -((1 - P) // 24))
-    return euler_series(n).stride_expand(24).shift(1).truncate(P)
+    return euler_series(_pp_count(1, P, 24)).stride_expand(24).shift(1).truncate(P)
 
 
 def partition_gen24(P: int) -> LaurentSeries:

@@ -11,7 +11,7 @@ from .arith import legendre, require_hecke_prime, to_decimal
 from .errors import BadSupport, QsptError
 from .partitions import _over_euler, column, mell_weights, mplus_weight
 from .report import VerificationReport
-from .series import LaurentSeries
+from .series import LaurentSeries, _pp_count
 
 
 # The largest delta_ell a HeckeContext admits, delta_71 = 210: thm1_1 --ell 71 --window 240
@@ -94,8 +94,7 @@ def m_ell_closed_form(ctx: HeckeContext, P: int) -> LaurentSeries:
     built as (ell/12) P(q) r_ell(q) with P(q) = q^-1 / (q^24; q^24)_inf: one sparse
     division of the r_ell coefficients by the pentagonal terms of (q; q)_inf."""
     r = r_ell_series(ctx, P + 1)  # r_ell below q^(P+1) gives the product below q^P
-    n = -((r.valuation - 1 - P) // 24)  # the points r.valuation - 1 + 24i below q^P
-    x = _over_euler(n - 1, r.nums)
+    x = _over_euler(_pp_count(r.valuation - 1, P, 24) - 1, r.nums)
     return LaurentSeries(24, 23, r.valuation - 1, P, [ctx.ell * c for c in x], 12)
 
 
@@ -104,7 +103,7 @@ def r_ell_series(ctx: HeckeContext, P: int) -> LaurentSeries:
     read from one j: q dj/dq = -E4^2 E6/Delta is its derivative. The product in q, stride
     expanded once, is needed below q^ceil(P/24), so it reads j below
     q^(ceil(P/24) + delta): B_delta has degree delta - 1 and valuation 1 - delta."""
-    j = forms.j_series(-(-P // 24) + ctx.delta_ell)
+    j = forms.j_series(_pp_count(0, P, 24) + ctx.delta_ell)
     b = jbasis.b_polynomials(ctx.delta_ell)[-1]
     return (j.q_derive() * jbasis.eval_at_series([b], j)[0]).stride_expand(24).truncate(P)
 

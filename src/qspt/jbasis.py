@@ -4,7 +4,6 @@ constant term first, so its degree is len(p) - 1."""
 
 from __future__ import annotations
 
-import math
 from operator import mul
 from typing import Sequence
 
@@ -49,7 +48,7 @@ def _j_recurrence(seed: LaurentSeries, start: int, count: int) -> list[tuple[int
 
 def eval_at_j24(poly: tuple[int, ...], P: int) -> LaurentSeries:
     """A polynomial evaluated at j(24 tau), truncated below P."""
-    need = max(-((-P) // 24), 1) + len(poly) + 1  # its degree + 2
+    need = max(series._pp_count(0, P, 24), 1) + len(poly) + 1  # its degree + 2
     j24 = forms.j_series(need).stride_expand(24)
     return eval_at_series([poly], j24)[0].truncate(P)
 
@@ -74,7 +73,4 @@ def _combine(cs: tuple[int, ...], powers: list[LaurentSeries]) -> LaurentSeries:
     if not cs:
         return LaurentSeries.zero(s.precision - s.valuation, s.stride, 0)
     prec = min(s.precision, powers[max(len(cs) - 1, 1)].precision)
-    terms = [(c, powers[i]) for i, c in enumerate(cs) if c]
-    top = powers[len(cs) - 1]
-    stride = math.gcd(s.stride, *(t.offset - top.offset for _, t in terms))
-    return series._combine(terms, stride, prec)
+    return series._combine([(c, powers[i]) for i, c in enumerate(cs) if c], prec)

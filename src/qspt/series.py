@@ -89,13 +89,14 @@ def _clear_denominators(pairs: Iterable[tuple[int, int]]) -> tuple[list[int], in
     return [n * (d // e) for n, e in pairs], d
 
 
-def _combine(terms: Sequence[tuple[int, "LaurentSeries"]], stride: int,
-             prec: int) -> "LaurentSeries":
+def _combine(terms: Sequence[tuple[int, "LaurentSeries"]], prec: int) -> "LaurentSeries":
     """sum c*f over the (c, f) pairs, integers c, below prec on the progression of
-    the given stride through the lowest valuation; every f.stride is a multiple
-    of stride and every f.valuation lies on that progression. Each f is added
-    by one strided slice over the lcm of the denominators."""
-    val = min(f.valuation for _, f in terms)
+    the sum: its stride is the gcd of the strides of the f and of their offset
+    differences, and a zero f sets no valuation. Each f is added by one strided
+    slice over the lcm of the denominators."""
+    first = terms[0][1]
+    stride = math.gcd(*(f.stride for _, f in terms), *(f.offset - first.offset for _, f in terms))
+    val = min((f.valuation for _, f in terms if f.nums), default=prec)
     den = math.lcm(*(f.den for _, f in terms))
     out = [0] * _pp_count(val, prec, stride)
     for c, f in terms:
@@ -103,7 +104,7 @@ def _combine(terms: Sequence[tuple[int, "LaurentSeries"]], stride: int,
         step = f.stride // stride
         end = k + step * len(f.nums)  # the slice stops at len(out), and map with it
         out[k:end:step] = map(add, out[k:end:step], map((c * (den // f.den)).__mul__, f.nums))
-    return LaurentSeries._of(stride, val % stride, val, prec, out, den)
+    return LaurentSeries._of(stride, first.offset % stride, val, prec, out, den)
 
 
 class LaurentSeries:
@@ -259,7 +260,7 @@ class LaurentSeries:
         if self.stride % stride:
             raise ValueError("new stride must divide the old stride")
         if not self.nums:
-            return LaurentSeries.zero(self.precision, stride, self.valuation % stride)
+            return LaurentSeries.zero(self.precision, stride, self.offset % stride)
         step = self.stride // stride
         cs = [0] * _pp_count(self.valuation, self.precision, stride)
         cs[:len(self.nums) * step:step] = self.nums  # every step-th point, from the first
@@ -275,21 +276,14 @@ class LaurentSeries:
     # ring operations
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        f, g = self, other
-        s = math.gcd(f.stride, g.stride, abs(f.offset - g.offset))
-        prec = min(f.precision, g.precision)
-        if not f.nums:
-            return g._reexpand(s).truncate(prec)
-        if not g.nums:
-            return f._reexpand(s).truncate(prec)
-        return _combine(((1, f), (1, g)), s, prec)
+        return _combine(((1, self), (1, other)), min(self.precision, other.precision))
 
     def __neg__(self) -> "LaurentSeries":
         return LaurentSeries._of(self.stride, self.offset, self.valuation,
                                  self.precision, [-c for c in self.nums], self.den)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self + (-other)
+        return _combine(((1, self), (-1, other)), min(self.precision, other.precision))
 
     def __mul__(self, other) -> "LaurentSeries":
         if isinstance(other, (int, Fraction)):

@@ -15,8 +15,9 @@ The primes 73 <= ell <= 109 are past hecke.MAX_DELTA, which HeckeContext
 enforces. Their digests were recorded on the same path with MAX_DELTA lifted
 in the recording process alone: 7.8-11.2 s a document at ell = 73, 140-145 s
 at ell = 109 and 47 minutes for all 36 (in process, Python 3.11.7 on a 2-vCPU
-VM). Neither range above checks them: they are the reference for a faster
-closed form, which is to lift the cap."""
+VM). They are the reference for a faster closed form, which is to lift the
+cap; until then the script prints each of them as unchecked, with the reason
+HeckeContext gives, and they do not change its exit code."""
 
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ import os
 import sys
 
 from qspt import hecke
+from qspt.errors import QsptError
 from qspt.hecke import HeckeContext
 
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "hecke_digests.json")
@@ -65,7 +67,10 @@ if __name__ == "__main__":
     bad = 0
     for key, want in recorded().items():
         if lo <= ell_of(key) <= hi:
-            ok = digest(key) == want
-            bad += not ok
-            print(f"{key}: {'ok' if ok else 'MISMATCH'}", flush=True)
+            try:
+                status = "ok" if digest(key) == want else "MISMATCH"
+            except QsptError as exc:
+                status = f"unchecked ({exc})"
+            bad += status == "MISMATCH"
+            print(f"{key}: {status}", flush=True)
     sys.exit(1 if bad else 0)

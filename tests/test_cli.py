@@ -770,7 +770,7 @@ _SOLVES = [
     (("table", "--name", "c_formula", "--max-n", "1"), ([24], [24], [])),
     (("series", "--name", "mplus", "--prec", "2400"), ([100], [100], [])),
     (("series", "--name", "m_ell:11", "--prec", "480"), ([2415], [2415], [])),
-    (("series", "--name", "m_ell:71", "--prec", "576"), ([120774], [120774], [])),
+    (("series", "--name", "m_ell:71", "--prec", "24"), ([4831], [4831], [])),
     (("verify", "thm1_2"), ([499], [499], [])),
     (("verify", "eq17"), ([30], [], [30])),
     (("table", "--name", "ustar", "--max-n", "30"), ([30], [], [30])),

@@ -1,6 +1,9 @@
 """Hecke action on half-integral weight expansions and the closed-form identity."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -190,3 +193,16 @@ def test_hecke_side_keeps_its_digests(ell):
     # ell = 23 and 47; hecke_golden.py checks 53 <= ell <= 71 as a script
     want = {k: v for k, v in hecke_golden.recorded().items() if hecke_golden.ell_of(k) == ell}
     assert {k: hecke_golden.digest(k) for k in want} == want
+
+
+def test_hecke_golden_reports_the_keys_past_the_cap_as_unchecked():
+    # 73 <= ell <= 109 lie past hecke.MAX_DELTA, so the script builds nothing
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(hecke.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, os.path.join(here, "hecke_golden.py"), "73", "109"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 36
+    assert all(": unchecked (ell capped at delta_ell" in line for line in lines)

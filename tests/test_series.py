@@ -47,6 +47,16 @@ def test_zero_series():
     assert (z + dense([1, 2])).coeff(0) == 1
 
 
+def test_a_zero_series_keeps_its_own_progression():
+    # the offset of a zero sum, product or quotient comes from its operands, not
+    # from the precision, which lies off the progression here
+    z12, z24 = LaurentSeries.zero(10, 12, 11), LaurentSeries.zero(10, 24, 23)
+    for h in (z12 + z24, z24 + z12):
+        assert (h.stride, h.offset) == (12, 11)
+    g = LaurentSeries(12, 11, 11, 40, [1, 2, 3])
+    assert ((z24 * g).offset, (z24 / g).offset) == (10, 0)
+
+
 def test_from_terms_infers_progression():
     f = LaurentSeries.from_terms({-1: 1, 23: 5, 47: -2}, 100)
     assert f.stride == 24
@@ -174,13 +184,14 @@ LEADS = (1, -1, 2, -3, Fraction(1, 3))
 @st.composite
 def series_args(draw, leads=LEADS):
     """Constructor arguments of a series on stride 1, 2 or 24 with a chosen
-    leading coefficient and coefficients of mixed denominators."""
+    leading coefficient and coefficients of mixed denominators, known to a
+    precision on or off its progression."""
     stride = draw(st.sampled_from((1, 2, 24)))
     val = draw(st.integers(-30, 30))
     rest = draw(st.lists(st.builds(Fraction, st.integers(-60, 60), st.integers(1, 4)),
                          max_size=12))
     cs = [draw(st.sampled_from(leads))] + rest
-    prec = val + stride * (len(cs) + draw(st.integers(0, 3)))
+    prec = val + stride * (len(cs) + draw(st.integers(0, 3))) + draw(st.integers(0, stride - 1))
     return stride, val % stride, val, prec, cs
 
 
