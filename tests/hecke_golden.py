@@ -9,7 +9,8 @@ they run as a script:
 
     PYTHONPATH=src python tests/hecke_golden.py 53 71
 
-which checks every digest with 53 <= ell <= 71 and exits 1 on a mismatch.
+which checks every digest with 53 <= ell <= 71 and exits 1 on a mismatch or on
+an error while building a document.
 
 The primes 73 <= ell <= 109 are past hecke.MAX_DELTA, which HeckeContext
 enforces. Their digests were recorded on the same path with MAX_DELTA lifted
@@ -62,15 +63,24 @@ def recorded() -> dict[str, str]:
         return json.load(fh)
 
 
-if __name__ == "__main__":
-    lo, hi = map(int, sys.argv[1:3])
+def check(lo: int, hi: int) -> int:
+    """Print every recorded key with lo <= ell <= hi as ok or MISMATCH, or as
+    unchecked when HeckeContext refuses its ell; return 1 on a mismatch, else 0.
+    Only HeckeContext's refusal is caught: an error while building a document
+    propagates, so the script exits 1 on it."""
     bad = 0
     for key, want in recorded().items():
         if lo <= ell_of(key) <= hi:
             try:
-                status = "ok" if digest(key) == want else "MISMATCH"
+                HeckeContext(ell_of(key))
             except QsptError as exc:
-                status = f"unchecked ({exc})"
-            bad += status == "MISMATCH"
-            print(f"{key}: {status}", flush=True)
-    sys.exit(1 if bad else 0)
+                print(f"{key}: unchecked ({exc})", flush=True)
+                continue
+            ok = digest(key) == want
+            bad += not ok
+            print(f"{key}: {'ok' if ok else 'MISMATCH'}", flush=True)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(check(*map(int, sys.argv[1:3])))

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from qspt import arith, forms, hecke, jbasis
-from qspt.errors import BadModulus, BadSupport, QsptError
+from qspt.errors import BadModulus, BadSupport, OutOfPrecision, QsptError
 from qspt.hecke import HeckeContext
 from qspt.series import LaurentSeries
 
@@ -206,3 +206,17 @@ def test_hecke_golden_reports_the_keys_past_the_cap_as_unchecked():
     lines = proc.stdout.splitlines()
     assert len(lines) == 36
     assert all(": unchecked (ell capped at delta_ell" in line for line in lines)
+
+
+def test_hecke_golden_lets_errors_within_the_cap_through(monkeypatch, capsys):
+    # only HeckeContext's refusal reads as unchecked: a failing build within the
+    # cap propagates (the script exits 1 on it), and a wrong digest returns 1
+    def fail(key):
+        raise OutOfPrecision(f"{key} failed")
+    monkeypatch.setattr(hecke_golden, "digest", fail)
+    with pytest.raises(OutOfPrecision):
+        hecke_golden.check(5, 5)
+    monkeypatch.setattr(hecke_golden, "digest", lambda key: "0" * 64)
+    assert hecke_golden.check(5, 7) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(line.endswith(": MISMATCH") for line in lines)
