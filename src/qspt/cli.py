@@ -12,6 +12,7 @@ import os
 import sys
 import tempfile
 import time
+from functools import partial
 from itertools import islice
 
 from . import __version__, forms, hecke, partitions, verify
@@ -31,9 +32,9 @@ def cache_dir() -> str:
 CACHE_TAG = f"qspt {__version__} cache 1"
 
 # The largest --prec of a series that reads no table (the table-backed mplus,
-# spt_gen24 and m_ell:<prime> meet the row cap instead). At 2,400 the slowest
-# such names take 15.2-19.8 s (r_ell:71) and 6.2-7.1 s (alpha, 21,736-bit
-# coefficients) in fresh processes, Python 3.11.7 on a 2-vCPU VM.
+# spt_gen24, partition_gen24 and m_ell:<prime> meet the row cap instead). At
+# 2,400 the slowest such names take 15.2-19.8 s (r_ell:71) and 6.2-7.1 s (alpha,
+# 21,736-bit coefficients) in fresh processes, Python 3.11.7 on a 2-vCPU VM.
 MAX_SERIES_PREC = 2400
 
 
@@ -89,7 +90,7 @@ def _cache_store(name: str, series: LaurentSeries) -> None:
 _SERIES = forms._CONSTRUCTORS | {"mplus": hecke.m_plus, "spt_gen24": hecke.spt_gen24}
 _SERIES_OF_ELL = {"m_ell": hecke.m_ell, "r_ell": hecke.r_ell_series}
 # These read the partition tables, so the table row cap bounds them, not MAX_SERIES_PREC.
-_ROW_CAPPED = ("mplus", "spt_gen24", "m_ell")
+_ROW_CAPPED = ("mplus", "spt_gen24", "partition_gen24", "m_ell")
 
 
 def build_series(name: str, precision: int) -> LaurentSeries:
@@ -147,7 +148,7 @@ def cmd_table(args) -> int:
         partitions.require_table_row(max_n)  # s reads no table, but its rows are capped too
         column = partitions.s_column(max_n)[1:]
     elif name == "c_formula":
-        column = partitions.c_formula(max_n)
+        column = hecke.c_formula(max_n)
     elif name == "ustar":
         column = partitions.ustar_column(max_n)[1:]
     else:  # p, spt or a: the one column alone
@@ -161,29 +162,16 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _hecke(f):
-    """A Hecke check on ell; its window defaults to 4800 for ell = 5, 2400 for 7 and 1200
-    otherwise, or to the largest multiple of 24 whose deepest row fits MAX_TABLE_ROW."""
-    def check(ell, window):
-        ctx = HeckeContext(ell)  # ell refused first, before any default is derived
-        if window is None:
-            window = {5: 4800, 7: 2400}.get(ell, 1200)
-            while partitions.mell_terms(ell, window // 24)[0][1] > partitions.MAX_TABLE_ROW:
-                window -= 24
-        return f(ctx, window)
-    return check
-
-
 _CONGRUENCES = {"ell": 5, "m": 1, "max_n": 200, "sign": "plus"}
 CHECKS = {  # each check: (its verifier, {an option it reads: its default})
-    "thm1_1": (_hecke(hecke.verify_thm11), {"ell": 5, "window": None}),
-    "eq9_mod_ell": (_hecke(hecke.verify_mod_ell), {"ell": 5, "window": None}),
+    "thm1_1": (verify.verify_thm11, {"ell": 5, "window": None}),
+    "eq9_mod_ell": (verify.verify_mod_ell, {"ell": 5, "window": None}),
     "thm1_2": (verify.verify_thm1_2, {"max_n": 20}),
     "thm1_3": (verify.verify_thm1_3, {"max_n": 40}),
     "eq17": (verify.verify_eq17, {"max_n": 30}),
-    "cor1_4": (lambda **o: partitions.check_congruences("cor1_4", **o), _CONGRUENCES),
+    "cor1_4": (partial(verify.check_congruences, "cor1_4"), _CONGRUENCES),
     "cor1_5": (verify.verify_cor1_5, {"max_n": 20}),
-    "congruences": (lambda **o: partitions.check_congruences("all", **o), _CONGRUENCES),
+    "congruences": (partial(verify.check_congruences, "all"), _CONGRUENCES),
     "internal_identities": (verify.verify_internal_identities, {}),
 }
 _FLAGS = dict(ell="--ell", m="--m", max_n="--max-n", window="--window", sign="--sign-convention")

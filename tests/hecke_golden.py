@@ -27,7 +27,7 @@ import json
 import os
 import sys
 
-from qspt import hecke
+from qspt import hecke, verify
 from qspt.errors import QsptError
 from qspt.hecke import HeckeContext
 
@@ -41,13 +41,13 @@ def document(key: str) -> str:
     report's to_dict without runtime_ms, dumped with sorted keys."""
     name, _, prec = key.partition("@")
     kind, _, ell = name.partition(":")
-    ctx, prec = HeckeContext(int(ell)), int(prec)
+    ell, prec = int(ell), int(prec)
     if kind == "thm1_1":
-        doc = hecke.verify_thm11(ctx, prec).to_dict()
+        doc = verify.verify_thm11(ell, prec).to_dict()
         del doc["runtime_ms"]
         return json.dumps(doc, sort_keys=True) + "\n"
     build = {"r_ell": hecke.r_ell_series, "m_ell_closed_form": hecke.m_ell_closed_form}[kind]
-    return json.dumps(build(ctx, prec).to_json_dict(name)) + "\n"
+    return json.dumps(build(HeckeContext(ell), prec).to_json_dict(name)) + "\n"
 
 
 def digest(key: str) -> str:

@@ -32,7 +32,7 @@ def _line(request):
 
 def test_criterion_01_c_formula(_line):
     t0 = time.monotonic()
-    ok = partitions.c_formula(2) == [196884, 21493760]
+    ok = hecke.c_formula(2) == [196884, 21493760]
     rep = verify.verify_thm1_2(max_n=20)
     dt = time.monotonic() - t0
     ok = ok and rep.passed and dt < 10
@@ -42,7 +42,7 @@ def test_criterion_01_c_formula(_line):
 
 def test_criterion_02_hecke_identity_ell5(_line):
     t0 = time.monotonic()
-    rep = hecke.verify_thm11(HeckeContext(5), 4800)
+    rep = verify.verify_thm11(5, 4800)
     dt = time.monotonic() - t0
     closed = hecke.m_ell_closed_form(HeckeContext(5), 4800)
     nontrivial = sum(1 for _ in closed.terms())
@@ -54,8 +54,8 @@ def test_criterion_02_hecke_identity_ell5(_line):
 
 def test_criterion_03_hecke_identity_ell7_ell11(_line):
     t0 = time.monotonic()
-    rep7 = hecke.verify_thm11(HeckeContext(7), 2400)
-    rep11 = hecke.verify_thm11(HeckeContext(11), 1200)
+    rep7 = verify.verify_thm11(7, 2400)
+    rep11 = verify.verify_thm11(11, 1200)
     dt = time.monotonic() - t0
     ok = rep7.passed and rep11.passed and dt < 600
     _line(3, ok, f"T(49) below 2400 and T(121) below 1200 ({dt:.1f}s)")
@@ -106,9 +106,9 @@ def test_criterion_07_unimodal_rank_count(_line):
 
 
 def test_criterion_08_congruence_suite(_line):
-    rep_a = partitions.check_congruences("andrews", max_n=200)
-    rep_5 = partitions.check_congruences("eq5", max_n=200, ell=5)
-    rep_c = partitions.check_congruences("cor1_4", max_n=200, ell=5, m=1)
+    rep_a = verify.check_congruences("andrews", max_n=200)
+    rep_5 = verify.check_congruences("eq5", max_n=200, ell=5)
+    rep_c = verify.check_congruences("cor1_4", max_n=200, ell=5, m=1)
     ok = rep_a.passed and rep_5.passed and rep_c.passed
     _line(8, ok, "spt congruences mod 5/7/13 and the mod-5 index family, "
                  "n <= 200")
@@ -124,7 +124,7 @@ def test_criterion_09_internal_identities(_line):
 
 
 def test_criterion_10_divisibility(_line):
-    reps = [hecke.verify_mod_ell(HeckeContext(ell), window)
+    reps = [verify.verify_mod_ell(ell, window)
             for ell, window in ((5, 4800), (7, 2400), (11, 1200))]
     ok = all(r.passed for r in reps)
     _line(10, ok, "12*M_ell is integral and divisible by ell on full windows")
@@ -146,10 +146,9 @@ def test_criterion_12_larger_primes_and_m2(_line):
     t0 = time.monotonic()
     reps = []
     for ell, window in ((13, 480), (17, 480), (19, 400), (23, 240)):
-        ctx = HeckeContext(ell)
-        reps += [hecke.verify_thm11(ctx, window), hecke.verify_mod_ell(ctx, window)]
+        reps += [verify.verify_thm11(ell, window), verify.verify_mod_ell(ell, window)]
     for ell, max_n in ((5, 200), (7, 60)):
-        reps += [partitions.check_congruences(family, max_n=max_n, ell=ell, m=2)
+        reps += [verify.check_congruences(family, max_n=max_n, ell=ell, m=2)
                  for family in ("eq6", "cor1_4")]
     dt = time.monotonic() - t0
     ok = all(r.passed for r in reps) and dt < 5

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qspt
-from qspt import arith, cli, forms, partitions
+from qspt import arith, cli, forms, hecke, partitions, verify
 from qspt.errors import UnknownCheck
 from qspt.partitions import StatTables
 from qspt.series import LaurentSeries
@@ -366,7 +366,7 @@ def test_table_prints_each_row_of_its_source(capsys, name):
     if name == "s":
         source = partitions.s_column(30).__getitem__
     elif name == "c_formula":
-        source = dict(enumerate(partitions.c_formula(30), 1)).get
+        source = dict(enumerate(hecke.c_formula(30), 1)).get
     elif name == "ustar":
         source = partitions.ustar_column(30).__getitem__
     else:
@@ -468,6 +468,7 @@ def test_every_unread_option_is_named(capsys):
     (("table", "--name", "c_formula", "--max-n", "5001"), 125_024),
     (("series", "--name", "mplus", "--prec", "3000048"), 125_002),
     (("series", "--name", "spt_gen24", "--prec", "3000048"), 125_002),
+    (("series", "--name", "partition_gen24", "--prec", "3000048"), 125_002),
     (("series", "--name", "m_ell:5", "--prec", "120024"), 125_024),
 ], ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
 def test_requests_past_the_row_cap_exit_2_before_any_build(capsys, counted, argv, rows):
@@ -498,18 +499,17 @@ def test_hecke_paths_refuse_ell_past_71_at_once(capsys, counted, monkeypatch, ar
 _CUT_WINDOWS = {53: 1056, 59: 840, 61: 792, 67: 648, 71: 576}
 
 
-def test_hecke_default_windows_fit_the_row_cap(monkeypatch, counted):
-    # a stub verifier behind cli.CHECKS returns the window it is handed and solves nothing
-    _, defaults = cli.CHECKS["thm1_1"]
-    monkeypatch.setitem(cli.CHECKS, "thm1_1", (cli._hecke(lambda ctx, window: window), defaults))
+def test_hecke_default_windows_fit_the_row_cap(counted):
+    # the header every Hecke verifier starts from derives its window and solves nothing
     for ell in filter(arith.is_prime, range(5, 72)):
-        window = cli.run_check("thm1_1", ell=ell)
+        ctx, rep = verify._hecke_report("thm1_1", ell, None)
+        window = rep.window[1]
         assert window == _CUT_WINDOWS.get(ell, {5: 4800, 7: 2400}.get(ell, 1200))
         assert window % 24 == 0
-        assert partitions.mell_terms(ell, window // 24)[0][1] <= partitions.MAX_TABLE_ROW
+        assert hecke.mell_terms(ctx, window // 24)[0][1] <= partitions.MAX_TABLE_ROW
         if ell in _CUT_WINDOWS:  # the largest multiple of 24 that fits
-            assert partitions.mell_terms(ell, window // 24 + 1)[0][1] > partitions.MAX_TABLE_ROW
-        assert cli.run_check("thm1_1", ell=ell, window=2400) == 2400
+            assert hecke.mell_terms(ctx, window // 24 + 1)[0][1] > partitions.MAX_TABLE_ROW
+        assert verify._hecke_report("thm1_1", ell, 2400)[1].window[1] == 2400
     assert counted == {"builds": [], "oracle": 0, "p": [], "a": []}
 
 
@@ -581,7 +581,7 @@ def test_congruences_refuse_a_deep_max_n_before_listing_instances(capsys, counte
         assert len(calls) <= 3 * walks, "the family's instances were listed"
         return real(a, p)
 
-    monkeypatch.setattr(partitions, "euler_criterion", counting_criterion)
+    monkeypatch.setattr(verify, "euler_criterion", counting_criterion)
     code, out, err = run(capsys, "verify", check, "--max-n", str(_DEEP))
     assert (code, out) == (2, "")
     assert err == f"error: {_past_the_cap(rows)}\n"
@@ -589,7 +589,7 @@ def test_congruences_refuse_a_deep_max_n_before_listing_instances(capsys, counte
 
 
 @pytest.mark.parametrize("name, prec", [("j", 1_000_000), ("alpha", 2401),
-                                        ("partition_gen24", 1_000_000), ("eta24", 2401),
+                                        ("eta24", 2401),
                                         ("r_ell:71", 2401), ("r_ell:5", 10 ** 30)])
 def test_series_past_the_precision_cap_exit_2_before_any_build(capsys, counted, monkeypatch,
                                                                name, prec):
@@ -766,6 +766,7 @@ _SOLVES = [
     (("verify", "eq9_mod_ell", "--ell", "13", "--window", "1"), ([0], [0], [])),
     (("series", "--name", "mplus", "--prec", "1"), ([0], [0], [])),
     (("series", "--name", "spt_gen24", "--prec", "1"), ([0], [], [])),
+    (("series", "--name", "partition_gen24", "--prec", "4800"), ([], [200], [])),
     (("series", "--name", "m_ell:5", "--prec", "1"), ([0], [0], [])),
     (("table", "--name", "c_formula", "--max-n", "1"), ([24], [24], [])),
     (("series", "--name", "mplus", "--prec", "2400"), ([100], [100], [])),

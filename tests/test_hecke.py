@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from qspt import arith, forms, hecke, jbasis
+from qspt import arith, forms, hecke, jbasis, verify
 from qspt.errors import BadModulus, BadSupport, OutOfPrecision, QsptError
 from qspt.hecke import HeckeContext
 from qspt.series import LaurentSeries
@@ -140,7 +140,7 @@ def test_m_ell_displayed_coefficients():
 
 def test_closed_form_matches_definition_small():
     for ell in (5, 7):
-        rep = hecke.verify_thm11(HeckeContext(ell), 240)
+        rep = verify.verify_thm11(ell, 240)
         assert rep.passed, rep.mismatches[:3]
 
 
@@ -157,14 +157,14 @@ def test_r_ell_series():
 
 
 def test_verify_mod_ell_small():
-    rep = hecke.verify_mod_ell(HeckeContext(5), 240)
+    rep = verify.verify_mod_ell(5, 240)
     assert rep.passed
 
 
 def test_thm11_fails_at_corrupted_exponent(perturbed):
     # spt(3) is the coefficient of q^71 in M+
     perturbed("spt", 3)
-    rep = hecke.verify_thm11(HeckeContext(5), 120)
+    rep = verify.verify_thm11(5, 120)
     assert rep.status == "fail"
     assert [m.exponent for m in rep.mismatches] == [71]
 
@@ -174,13 +174,13 @@ def test_thm11_fails_where_a_perturbed_j_reaches_the_closed_form(perturbed_j, ex
     # B_1 = 1 at ell = 5, so the bump reaches the closed form through q dj/dq alone:
     # c(k) + 1 adds k q^(24k) to r_5, and P(q) spreads it to every exponent from 24k - 1 on
     perturbed_j(exponent)
-    rep = hecke.verify_thm11(HeckeContext(5), 240)
+    rep = verify.verify_thm11(5, 240)
     assert [m.exponent for m in rep.mismatches] == list(range(first, 240, 24))
 
 
 def test_verify_mod_ell_non_integral_fails(perturbed):
     perturbed("spt", 3, Fraction(1, 7))
-    rep = hecke.verify_mod_ell(HeckeContext(5), 120)
+    rep = verify.verify_mod_ell(5, 120)
     assert rep.status == "fail"
     assert [m.exponent for m in rep.mismatches] == [71]
     assert rep.mismatches[0].lhs.denominator == 7

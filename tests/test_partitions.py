@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qspt import arith, forms
+from qspt import arith, forms, hecke, verify
 from qspt import partitions as pt
 from qspt.errors import EnumerationLimit, QsptError, UnknownCheck
+from qspt.hecke import HeckeContext
 from qspt.series import LaurentSeries, convolve
 
 
@@ -335,7 +336,7 @@ def test_s_column_is_the_papers_square_sum():
 
 def test_mu_values():
     # mu_n = 6 - ((1-24n)|5), the factor of M+[24n-1] in M_5[24n-1]
-    assert [pt.mell_terms(5, n)[1][0] for n in range(1, 5)] == [7, 7, 5, 6]
+    assert [hecke.mell_terms(HeckeContext(5), n)[1][0] for n in range(1, 5)] == [7, 7, 5, 6]
 
 
 # twelve times the coefficients of q^(24k-1) in M_5, k = 1, 2, 3, 24; k = 24 is
@@ -345,29 +346,29 @@ _M5_WEIGHTS = {1: 984410, 2: 215922005, 3: 13181405965,
 
 
 def test_h_weights():
-    assert {k: pt.mell_weight(5, k) for k in _M5_WEIGHTS} == _M5_WEIGHTS
+    assert {k: hecke.mell_weight(HeckeContext(5), k) for k in _M5_WEIGHTS} == _M5_WEIGHTS
 
 
 def test_mell_weight_solves_the_rows_it_reads(monkeypatch):
     # from empty columns: k = 25 at ell = 5 reads row 624, k = 26 row 649, and ell = 7,
     # k = 14 row 49 * 14 - 2 = 684; every coefficient of 12 M_ell lies in ell Z (eq (9))
     monkeypatch.setattr(pt, "_COLUMNS", {})
-    assert pt.mell_weight(5, 25) % 5 == 0
-    assert pt.mell_weight(5, 26) % 5 == 0
-    assert pt.mell_weight(7, 14) % 7 == 0
+    assert hecke.mell_weight(HeckeContext(5), 25) % 5 == 0
+    assert hecke.mell_weight(HeckeContext(5), 26) % 5 == 0
+    assert hecke.mell_weight(HeckeContext(7), 14) % 7 == 0
 
 
 def test_mplus_weight_is_zero_below_row_zero():
-    assert pt.mplus_weight(-1) == 0
-    assert pt.mplus_weight(0) == -1
+    assert hecke.mplus_weight(-1) == 0
+    assert hecke.mplus_weight(0) == -1
 
 
 def test_c_formula_first_coefficients():
-    assert pt.c_formula(3) == [196884, 21493760, 864299970]
+    assert hecke.c_formula(3) == [196884, 21493760, 864299970]
 
 
 def test_c1_c2_decompositions():
-    lines = pt.c1_c2_decompositions()
+    lines = hecke.c1_c2_decompositions()
     assert "2 + 49 + 15708 + 181125" in lines[0]
     assert lines[0].endswith("= 196884")
     assert lines[1].endswith("= 21493760")
@@ -377,12 +378,12 @@ def test_c1_c2_decompositions():
 
 def test_spt_family_instances():
     # integral "plus" indices need n = 23 mod 24, and (-n|5) = 1 filters those
-    inst = list(pt.spt_family_instances(5, 1, 200, "plus"))
+    inst = list(verify.spt_family_instances(5, 1, 200, "plus"))
     assert inst == [(71, 74), (119, 124), (191, 199)]
-    assert list(pt.spt_family_instances(7, 1, 200, "plus"))[:3] == [
+    assert list(verify.spt_family_instances(7, 1, 200, "plus"))[:3] == [
         (47, 96), (143, 292), (167, 341)]
-    up = list(pt.spt_family_instances(13, 1, 1000, "minus"))
-    assert list(pt.spt_family_instances(13, 1, 1000, "minus", -1)) == up[::-1]
+    up = list(verify.spt_family_instances(13, 1, 1000, "minus"))
+    assert list(verify.spt_family_instances(13, 1, 1000, "minus", -1)) == up[::-1]
 
 
 def test_congruence_rows_are_the_deepest_row_each_family_lists():
@@ -391,74 +392,74 @@ def test_congruence_rows_are_the_deepest_row_each_family_lists():
             ("andrews", "eq5", "eq6", "cor1_4", "all"),
             ((5, 1), (7, 1), (11, 1), (13, 1), (29, 1), (5, 2), (7, 2)),
             ("plus", "minus"), range(1, 500, 11)):
-        listed = max((idx for fam in pt._FAMILIES[family]
-                      for _, indices in pt._family_reads(fam, max_n, ell, m, sign)
+        listed = max((idx for fam in verify._FAMILIES[family]
+                      for _, indices in verify._family_reads(fam, max_n, ell, m, sign)
                       for idx in indices), default=0)
-        assert pt._congruence_rows(family, max_n, ell, m, sign) == listed
+        assert verify._congruence_rows(family, max_n, ell, m, sign) == listed
 
 
 def test_congruence_families_test_the_prime_once(monkeypatch):
     calls = []
     monkeypatch.setattr(arith, "is_prime", lambda n, real=arith.is_prime: calls.append(n) or real(n))
-    assert pt.check_congruences("cor1_4", 200, ell=5).passed
-    assert pt.check_congruences("eq5", 200, ell=7).passed
-    assert pt.check_congruences("all", 200, ell=7).passed  # once for its three families
+    assert verify.check_congruences("cor1_4", 200, ell=5).passed
+    assert verify.check_congruences("eq5", 200, ell=7).passed
+    assert verify.check_congruences("all", 200, ell=7).passed  # once for its three families
     assert calls == [5, 7, 7]
 
 
 def test_an_unknown_congruence_family_is_refused():
     with pytest.raises(UnknownCheck, match="unknown congruence family 'eq7'"):
-        pt.check_congruences("eq7", 1)
+        verify.check_congruences("eq7", 1)
 
 
 def test_congruence_families_refuse_a_smallest_index_past_the_cap(monkeypatch):
     monkeypatch.setattr(pt, "MAX_TABLE_ROW", 1)
     # (5^2 - 1)/24 = 1 is admitted, and no n <= 1 has an integral plus index
-    assert pt.check_congruences("cor1_4", 1, ell=5).compared == 0
-    assert pt.check_congruences("eq5", 1, ell=5, m=2).passed  # eq5 is mod ell, whatever m
+    assert verify.check_congruences("cor1_4", 1, ell=5).compared == 0
+    assert verify.check_congruences("eq5", 1, ell=5, m=2).passed  # eq5 is mod ell, whatever m
     for family, ell, m, exponent in (("cor1_4", 7, 1, 2), ("eq5", 7, 1, 2),
                                      ("eq6", 5, 2, 4), ("all", 5, 2, 4)):
         with pytest.raises(QsptError) as exc:
-            pt.check_congruences(family, 1, ell=ell, m=m)
+            verify.check_congruences(family, 1, ell=ell, m=m)
         assert str(exc.value) == (f"tables capped at row 1, and every index "
                                   f"(ell^{exponent} n -+ 1)/24 of ell = {ell} is past it")
 
 
 def test_andrews_congruences():
-    rep = pt.check_congruences("andrews", max_n=39)
+    rep = verify.check_congruences("andrews", max_n=39)
     assert rep.passed
     assert len(rep.details) == 3
 
 
 def test_eq5_convention():
-    rep = pt.check_congruences("eq5", max_n=200, ell=5, sign="plus")
+    rep = verify.check_congruences("eq5", max_n=200, ell=5, sign="plus")
     assert rep.passed
     assert any("convention 'plus': 3 integral indices" in d for d in rep.details)
     # the printed "minus" index family fails already at n = 1 (spt(1) = 1)
-    bad = pt.check_congruences("eq5", max_n=39, ell=5, sign="minus")
+    bad = verify.check_congruences("eq5", max_n=39, ell=5, sign="minus")
     assert not bad.passed
     assert bad.mismatches[0].exponent == 1
 
 
 def test_cor1_4():
-    rep = pt.check_congruences("cor1_4", max_n=200, ell=5, m=1)
+    rep = verify.check_congruences("cor1_4", max_n=200, ell=5, m=1)
     assert rep.passed
 
 
 def test_all_families():
-    rep = pt.check_congruences("all", max_n=39)
+    rep = verify.check_congruences("all", max_n=39)
     assert rep.passed
 
 
 def test_all_families_count_what_their_families_compared():
-    subs = [pt.check_congruences(f, max_n=200) for f in ("andrews", "eq5", "cor1_4")]
+    subs = [verify.check_congruences(f, max_n=200) for f in ("andrews", "eq5", "cor1_4")]
     assert [r.compared for r in subs] == [3 * 201, 3, 3]
-    assert pt.check_congruences("all", max_n=200).compared == 609
+    assert verify.check_congruences("all", max_n=200).compared == 609
 
 
 def test_all_families_count_their_own_failures(perturbed):
     perturbed("spt", 4)  # spt(5*0 + 4) breaks Andrews' mod 5 congruence, and no other family's
-    rep = pt.check_congruences("all", max_n=40)
+    rep = verify.check_congruences("all", max_n=40)
     assert [m.exponent for m in rep.mismatches] == [4]
     assert rep.details[3:] == ["eq5: convention 'plus': 0 integral indices, 0 failures",
                                "eq5: other convention: 1 integral indices, 1 failures",
@@ -473,7 +474,7 @@ def test_congruence_reports_keep_their_digest():
             ("andrews", "eq5", "eq6", "cor1_4", "all"),
             ((5, 1), (7, 1), (11, 1), (13, 1), (5, 2), (7, 2)),
             ("plus", "minus"), (1, 23, 39, 200)):
-        rep = pt.check_congruences(family, max_n, ell=ell, m=m, sign=sign)
+        rep = verify.check_congruences(family, max_n, ell=ell, m=m, sign=sign)
         digest.update((json.dumps(rep.to_dict(), sort_keys=True) + "\n").encode())
     assert digest.hexdigest() == (
         "d1f87a73a534beb2278e9b426c3722f1598d8b4ab8bf92db697dbbae5ee1def1")
@@ -489,7 +490,7 @@ def test_the_row_cap_admits_the_deepest_documented_request(monkeypatch):
     monkeypatch.setattr(pt, "_COLUMNS", {})
     monkeypatch.setattr(pt.StatTables, "build", classmethod(fake_build))
     # congruences --ell 5 --m 3 reads row 124,349
-    assert pt._congruence_rows("all", 200, 5, 3, "plus") == 124_349
+    assert verify._congruence_rows("all", 200, 5, 3, "plus") == 124_349
     pt.column("spt", 124_349)
     pt.column("spt", pt.MAX_TABLE_ROW)
     with pytest.raises(QsptError, match="tables capped at row 125,000, 125,001 requested"):

@@ -7,11 +7,11 @@ from functools import partial
 
 import pytest
 
-from qspt import forms, hecke, verify
-from qspt.hecke import HeckeContext
-from qspt.partitions import check_congruences
+from qspt import forms, verify
+from qspt.verify import check_congruences
 from qspt.errors import OutOfPrecision
 from qspt.report import Mismatch, VerificationReport
+from qspt.series import LaurentSeries
 
 
 def test_report_status():
@@ -75,7 +75,7 @@ def test_report_counts_what_it_compared():
 
 
 def test_thm11_counts_the_points_of_its_progression():
-    rep = hecke.verify_thm11(HeckeContext(5), 240)
+    rep = verify.verify_thm11(5, 240)
     assert rep.passed and rep.compared == 12  # -25, -1, 23, ..., 239
 
 
@@ -170,3 +170,13 @@ def test_verifier_fails_at_corrupted_entry(perturbed, verifier, column, index, e
     rep = verifier()
     assert rep.status == "fail"
     assert [m.exponent for m in rep.mismatches] == exponents
+
+
+def test_internal_identities_record_alpha_at_q0_at_exponent_0(monkeypatch):
+    # alpha = q + O(q^2): a wrong q^0 coefficient is the report's first mismatch, at 0
+    build = forms.alpha_series
+    monkeypatch.setattr(forms, "alpha_series",
+                        lambda P: build(P) + LaurentSeries(1, 0, 0, P, [1]))
+    rep = verify.verify_internal_identities(ncoeffs=60, poly_max=6)
+    assert rep.mismatches[0] == Mismatch(0, 1, 0)
+    assert "alpha = q + O(q^2): checked" in rep.details
